@@ -5,9 +5,11 @@ Three interchangeable ways to realize U^power with U = exp(i*A*t):
 * ``exact``   - eigendecomposition, numerically exact;
 * ``trotter`` - product formula over the Pauli decomposition of A, with a
   fixed per-step size so U^power reuses the same splitting at power-fold cost;
-* ``block``   - A embedded in a larger unitary; exp(i*A*t) built from the
-  truncated Taylor series of the encoded block and projected back to the
-  nearest unitary.
+* ``block``   - A/alpha, the top-left block of a unitary of twice the
+  dimension, built from the spectrum the pipeline already computed;
+  exp(i*A*t) is the truncated Taylor series of the encoded block projected
+  back to the nearest unitary. The doubled unitary itself is built only on
+  request (``BlockEncoding.unitary``), never on the solve path.
 
 Every backend keeps two cost counters: ``controlled_u_count`` (applications
 of U, i.e. the sum of requested powers) and ``elementary_exp_count`` (the
@@ -141,36 +143,27 @@ def _apply_exp_word_left(m: np.ndarray, word: str, theta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrotterPlan:
-    """Product-formula splitting: terms, order, step count and step size."""
+    """Product-formula splitting: terms, order and step count."""
 
     terms: PauliTermList
     order: int
     steps: int
-    stage_coefficients: tuple[tuple[float, ...], tuple[float, ...]]
-    h: float
 
     def __post_init__(self):
         if self.order not in (1, 2):
             raise ValueError(f"unsupported product-formula order {self.order}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        c, d = self.stage_coefficients
-        if abs(sum(c) + sum(d) - 1.0) > 1e-12:
-            raise ValueError("stage coefficients of one step must sum to 1")
 
     @property
     def factors_per_step(self) -> int:
-        """Elementary exponentials spent by one step."""
-        stages = sum(1 for coeffs in self.stage_coefficients for c in coeffs if c != 0.0)
-        return stages * self.terms.term_count
+        """Elementary exponentials spent by one step (order 2 sweeps twice)."""
+        return (1 if self.order == 1 else 2) * self.terms.term_count
 
 
-def make_trotter_plan(a, t: float, steps: int, order: int = 2) -> TrotterPlan:
+def make_trotter_plan(a, steps: int, order: int = 2) -> TrotterPlan:
     terms = a if isinstance(a, PauliTermList) else pauli_decompose(a)
-    stage = ((1.0,), (0.0,)) if order == 1 else ((0.5,), (0.5,))
-    return TrotterPlan(
-        terms=terms, order=order, steps=steps, stage_coefficients=stage, h=t / steps
-    )
+    return TrotterPlan(terms=terms, order=order, steps=steps)
 
 
 def _trotter_step_matrix(plan: TrotterPlan, h: float) -> np.ndarray:
@@ -202,43 +195,45 @@ def trotter_unitary(plan: TrotterPlan, t: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlockEncoding:
-    """Unitary of twice the dimension whose top-left block is A/alpha."""
+    """A/alpha as the top-left block of U = [[A/a, B], [B, -A/a]].
 
-    unitary: np.ndarray
+    B = sqrt(I-(A/a)^2) commutes with A, which makes U unitary. Only alpha,
+    A/alpha and the spectrum they came from are kept; ``unitary`` builds the
+    doubled matrix on request.
+    """
+
+    spectrum: Spectrum
     alpha: float
-    extra_ancillas: int = 1
+    scaled: np.ndarray  # A / alpha
+
+    @classmethod
+    def from_spectrum(cls, spectrum: Spectrum) -> "BlockEncoding":
+        """alpha = ||A|| with a tiny safety margin, so I - (A/alpha)^2 stays PSD."""
+        norm2 = float(np.max(np.abs(spectrum.eigenvalues))) if spectrum.dim else 0.0
+        alpha = norm2 * (1.0 + 1e-9) if norm2 > 0.0 else 1.0
+        v = spectrum.eigenvectors
+        scaled = (v * (spectrum.eigenvalues / alpha)) @ v.conj().T
+        return cls(spectrum=spectrum, alpha=alpha, scaled=scaled)
 
     @property
-    def block_dim(self) -> int:
-        return self.unitary.shape[0] // 2
+    def unitary(self) -> np.ndarray:
+        complement = 1.0 - (self.spectrum.eigenvalues / self.alpha) ** 2
+        if np.min(complement) < -1e-12:
+            raise NormalizationFailure(
+                f"I - (A/alpha)^2 has eigenvalue {float(np.min(complement)):.3e}"
+            )
+        v = self.spectrum.eigenvectors
+        b = (v * np.sqrt(np.clip(complement, 0.0, None))) @ v.conj().T
+        return np.block([[self.scaled, b], [b, -self.scaled]])
 
     def encoded_matrix(self) -> np.ndarray:
         """alpha * (top-left block), i.e. the matrix that was encoded."""
-        n = self.block_dim
-        return self.alpha * self.unitary[:n, :n]
+        return self.alpha * self.scaled
 
 
 def block_encode(a) -> BlockEncoding:
-    """Embed Hermitian A into U = [[A/a, B], [B, -A/a]] with B = sqrt(I-(A/a)^2).
-
-    alpha is the spectral norm with a tiny safety margin so I - (A/alpha)^2
-    stays positive semidefinite; B commutes with A, which makes U unitary.
-    """
-    a = require_hermitian(a)
-    spec = hermitian_eigendecomposition(a)
-    norm2 = float(np.max(np.abs(spec.eigenvalues))) if spec.dim else 0.0
-    alpha = norm2 * (1.0 + 1e-9) if norm2 > 0.0 else 1.0
-    scaled = spec.eigenvalues / alpha
-    complement = 1.0 - scaled**2
-    if np.min(complement) < -1e-12:
-        raise NormalizationFailure(
-            f"I - (A/alpha)^2 has eigenvalue {float(np.min(complement)):.3e}"
-        )
-    v = spec.eigenvectors
-    a_tilde = (v * scaled) @ v.conj().T
-    b = (v * np.sqrt(np.clip(complement, 0.0, None))) @ v.conj().T
-    u = np.block([[a_tilde, b], [b, -a_tilde]])
-    return BlockEncoding(unitary=u, alpha=alpha)
+    """Block-encode Hermitian A from its own eigendecomposition."""
+    return BlockEncoding.from_spectrum(hermitian_eigendecomposition(a))
 
 
 def taylor_truncation_bound(alpha: float, t: float, k: int) -> float:
@@ -328,11 +323,9 @@ class ExactEvolution(EvolutionBackend):
 
     method = "exact"
 
-    def __init__(self, a):
+    def __init__(self, spectrum: Spectrum):
         super().__init__()
-        self.spectrum: Spectrum = (
-            a if isinstance(a, Spectrum) else hermitian_eigendecomposition(a)
-        )
+        self.spectrum = spectrum
 
     def _exp_cost(self, power: int) -> int:
         return power
@@ -353,23 +346,19 @@ class TrotterEvolution(EvolutionBackend):
 
     def __init__(self, a, steps: int = 8, order: int = 2):
         super().__init__()
-        self.terms = a if isinstance(a, PauliTermList) else pauli_decompose(a)
-        self.steps = steps
-        self.order = order
+        self.plan = make_trotter_plan(a, steps, order)
+        self.terms = self.plan.terms
         self._step_cache: dict[float, np.ndarray] = {}
 
-    def plan(self, t: float) -> TrotterPlan:
-        return make_trotter_plan(self.terms, t, self.steps, self.order)
-
     def _exp_cost(self, power: int) -> int:
-        return power * self.steps * self.plan(1.0).factors_per_step
+        return power * self.plan.steps * self.plan.factors_per_step
 
     def _propagator(self, t: float, power: int) -> np.ndarray:
         step = self._step_cache.get(t)
         if step is None:
-            step = _trotter_step_matrix(self.plan(t), t / self.steps)
+            step = _trotter_step_matrix(self.plan, t / self.plan.steps)
             self._step_cache[t] = step
-        return np.linalg.matrix_power(step, self.steps * power)
+        return np.linalg.matrix_power(step, self.plan.steps * power)
 
 
 class BlockEvolution(EvolutionBackend):
@@ -382,11 +371,11 @@ class BlockEvolution(EvolutionBackend):
 
     method = "block"
 
-    def __init__(self, a, truncation: int | None = None):
+    def __init__(self, spectrum: Spectrum, truncation: int | None = None):
         super().__init__()
-        self.encoding = a if isinstance(a, BlockEncoding) else block_encode(a)
+        self.encoding = BlockEncoding.from_spectrum(spectrum)
         self.truncation = truncation
-        self._base_cache: dict[float, tuple[np.ndarray, int]] = {}
+        self._base_cache: dict[float, np.ndarray] = {}
         self._last_k = 0
 
     def _truncation_for(self, t: float) -> int:
@@ -404,33 +393,26 @@ class BlockEvolution(EvolutionBackend):
         return super().propagator(t, power)
 
     def _propagator(self, t: float, power: int) -> np.ndarray:
-        cached = self._base_cache.get(t)
-        if cached is None:
-            k = self._truncation_for(t)
-            base = taylor_exponential(self.encoding, t, truncation=k)
-            self._base_cache[t] = (base, k)
-        else:
-            base, _ = cached
+        base = self._base_cache.get(t)
+        if base is None:
+            base = taylor_exponential(self.encoding, t, truncation=self._truncation_for(t))
+            self._base_cache[t] = base
         return np.linalg.matrix_power(base, power)
-
-
-def controlled_evolution(backend: EvolutionBackend, t: float, power: int) -> np.ndarray:
-    """Matrix implementing U^power for the chosen backend, updating its counters."""
-    return backend.propagator(t, power)
 
 
 def make_backend(
     a,
+    spectrum: Spectrum,
     method: str,
     trotter_steps: int = 8,
     trotter_order: int = 2,
     taylor_k: int | None = None,
-    spectrum: Spectrum | None = None,
 ) -> EvolutionBackend:
+    """Backend for ``method``; exact and block read the shared spectrum of A."""
     if method == "exact":
-        return ExactEvolution(spectrum if spectrum is not None else a)
+        return ExactEvolution(spectrum)
     if method == "trotter":
         return TrotterEvolution(a, steps=trotter_steps, order=trotter_order)
     if method == "block":
-        return BlockEvolution(a, truncation=taylor_k)
+        return BlockEvolution(spectrum, truncation=taylor_k)
     raise ValueError(f"unknown simulation method '{method}' (expected exact|trotter|block)")

@@ -63,6 +63,9 @@ class Spectrum:
     for identical input: degenerate subspaces are re-orthonormalized against
     the canonical basis and every column's phase is fixed so that its first
     significant entry is real positive.
+
+    ``run_hhl`` computes one per solve and hands it to ``resolve_config``,
+    the representability check and the exact and block backends.
     """
 
     eigenvalues: np.ndarray
@@ -134,9 +137,9 @@ def hermitian_eigendecomposition(a) -> Spectrum:
     return Spectrum(eigenvalues=w, eigenvectors=v)
 
 
-def condition_number(spectrum: Spectrum) -> float:
+def condition_number(eigenvalues: np.ndarray) -> float:
     """kappa = max|lambda| / min|lambda| of a Hermitian spectrum."""
-    mags = np.abs(spectrum.eigenvalues)
+    mags = np.abs(eigenvalues)
     lo, hi = float(mags.min()), float(mags.max())
     if lo <= 1e-14 * hi:
         raise SingularMatrix(f"smallest |eigenvalue| {lo:.3e} is negligible against {hi:.3e}")
@@ -158,7 +161,11 @@ def propagator_from_spectrum(spectrum: Spectrum, t: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A Hermitian linear system A x = b with sparsity/conditioning metadata."""
+    """A Hermitian linear system A x = b with sparsity/conditioning metadata.
+
+    The instance holds no eigenvectors: kappa comes from the eigenvalues
+    alone, and ``run_hhl`` computes the full spectrum once per solve.
+    """
 
     matrix: np.ndarray
     rhs: np.ndarray
@@ -184,12 +191,11 @@ class ProblemInstance:
         """Build an instance, measuring sparsity and conditioning from the matrix."""
         m = require_hermitian(matrix)
         b = np.asarray(rhs, dtype=np.complex128).reshape(-1)
-        spec = hermitian_eigendecomposition(m)
         return cls(
             matrix=m,
             rhs=b,
             sparsity=max_nonzeros_per_row(m),
-            condition_number=condition_number(spec),
+            condition_number=condition_number(np.linalg.eigvalsh(m)),
         )
 
 

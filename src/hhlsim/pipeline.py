@@ -124,9 +124,14 @@ def _check_positive_definite(spectrum: Spectrum) -> None:
         )
 
 
-def resolve_config(
-    problem: ProblemInstance, config: HhlConfig, spectrum: Spectrum | None = None
-) -> HhlConfig:
+def _populated_eigenvalues(problem: ProblemInstance, spectrum: Spectrum) -> np.ndarray:
+    """Eigenvalues whose eigenvectors overlap b/||b|| above the cutoff."""
+    b_hat = problem.rhs / np.linalg.norm(problem.rhs)
+    beta = spectrum.eigenvectors.conj().T @ b_hat
+    return spectrum.eigenvalues[np.abs(beta) > POPULATION_CUTOFF]
+
+
+def resolve_config(problem: ProblemInstance, config: HhlConfig, spectrum: Spectrum) -> HhlConfig:
     """Fill in n_c, t and C from the populated part of the spectrum.
 
     The evolution time maps the populated eigenvalues onto the clock grid
@@ -134,12 +139,8 @@ def resolve_config(
     lands near the top bin. C defaults to 90% of the smallest populated bin
     eigenvalue so every rotation angle stays valid.
     """
-    spec = spectrum if spectrum is not None else hermitian_eigendecomposition(problem.matrix)
-    _check_positive_definite(spec)
-    b_hat = problem.rhs / np.linalg.norm(problem.rhs)
-    beta = spec.eigenvectors.conj().T @ b_hat
-    populated = np.abs(beta) > POPULATION_CUTOFF
-    lam_pop = np.unique(np.round(spec.eigenvalues[populated], 12))
+    _check_positive_definite(spectrum)
+    lam_pop = np.unique(np.round(_populated_eigenvalues(problem, spectrum), 12))
     if lam_pop.size == 0:
         raise ZeroVector("right-hand side has no overlap with the spectrum")
     lam_max = float(np.max(lam_pop))
@@ -184,14 +185,10 @@ def resolve_config(
 
 
 def spectrum_is_representable(
-    problem: ProblemInstance, n_c: int, t: float, spectrum: Spectrum | None = None
+    problem: ProblemInstance, n_c: int, t: float, spectrum: Spectrum
 ) -> bool:
     """True when every populated eigenvalue sits exactly on the clock grid."""
-    spec = spectrum if spectrum is not None else hermitian_eigendecomposition(problem.matrix)
-    b_hat = problem.rhs / np.linalg.norm(problem.rhs)
-    beta = spec.eigenvectors.conj().T @ b_hat
-    lam_pop = spec.eigenvalues[np.abs(beta) > POPULATION_CUTOFF]
-    positions = lam_pop * t * (1 << n_c) / (2.0 * np.pi)
+    positions = _populated_eigenvalues(problem, spectrum) * t * (1 << n_c) / (2.0 * np.pi)
     on_grid = np.abs(positions - np.round(positions)) <= 1e-9 * np.maximum(positions, 1.0)
     return bool(np.all(on_grid) and np.all(np.round(positions) >= 1))
 
@@ -284,11 +281,11 @@ def run_hhl(problem: ProblemInstance, config: HhlConfig) -> HhlResult:
 
     backend = make_backend(
         problem.matrix,
+        spectrum,
         resolved.method,
         trotter_steps=resolved.trotter_steps,
         trotter_order=resolved.trotter_order,
         taylor_k=resolved.taylor_k,
-        spectrum=spectrum,
     )
     phase_estimation(state, backend, n_c, t)
     # Only the exact backend on an on-grid spectrum is guaranteed to leave

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClockRegisterNotCleared, DimensionMismatch
-from .hamiltonian import EvolutionBackend, controlled_evolution
+from .hamiltonian import EvolutionBackend
 from .statevector import StateVector, apply_unitary, marginal_probabilities
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
@@ -100,7 +100,7 @@ def phase_estimation(
     for q in clock:
         apply_unitary(state, HADAMARD, [q])
     for k in range(n_c):
-        u = controlled_evolution(backend, t, 1 << k)
+        u = backend.propagator(t, 1 << k)
         apply_unitary(state, u, data, controls=[clock[k]])
     apply_qft(state, clock, inverse=True)
     return state
@@ -117,7 +117,7 @@ def inverse_phase_estimation(
     data = layout.data_qubits
     apply_qft(state, clock, inverse=False)
     for k in range(n_c - 1, -1, -1):
-        u = controlled_evolution(backend, t, 1 << k)
+        u = backend.propagator(t, 1 << k)
         apply_unitary(state, u.conj().T, data, controls=[clock[k]])
     for q in clock:
         apply_unitary(state, HADAMARD, [q])

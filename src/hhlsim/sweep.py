@@ -25,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import HhlSimError
 from .families import FamilySpec, generate
 from .linalg import ProblemInstance
 from .pipeline import HhlConfig, run_hhl
@@ -267,7 +266,7 @@ def _run_instance(
             controlled_u_count=result.cost.controlled_u_count,
             elementary_exp_count=result.cost.elementary_exp_count,
         )
-    except (HhlSimError, ValueError, np.linalg.LinAlgError) as exc:
+    except Exception as exc:  # one bad instance must not abort the sweep
         row["error"] = f"{type(exc).__name__}: {exc}".replace("\n", " ")
     if timing:
         row["wall_time_ms"] = (time.perf_counter() - started) * 1e3

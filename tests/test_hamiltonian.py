@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hhlsim.families import FamilySpec, generate
 from hhlsim.errors import (
     NonHermitian,
     NonPowerOfTwoDimension,
@@ -12,7 +13,6 @@ from hhlsim.hamiltonian import (
     TrotterEvolution,
     _word_action,
     block_encode,
-    controlled_evolution,
     make_trotter_plan,
     pauli_decompose,
     pauli_word_matrix,
@@ -20,7 +20,7 @@ from hhlsim.hamiltonian import (
     taylor_exponential,
     trotter_unitary,
 )
-from hhlsim.linalg import unitary_exponential
+from hhlsim.linalg import hermitian_eigendecomposition, unitary_exponential
 
 DEMO = np.array([[1.0, -0.5], [-0.5, 1.0]], dtype=complex)
 # Same off-diagonal coupling plus a Z component, so the Pauli terms no longer
@@ -88,14 +88,14 @@ class TestTrotter:
     def test_single_term_exact(self):
         a = 0.7 * pauli_word_matrix("XZ")
         for steps in (1, 3):
-            plan = make_trotter_plan(a, t=1.1, steps=steps, order=1)
+            plan = make_trotter_plan(a, steps=steps, order=1)
             np.testing.assert_allclose(
                 trotter_unitary(plan, 1.1), unitary_exponential(a, 1.1), atol=1e-10
             )
 
     def test_commuting_terms_exact_one_step(self):
         a = np.diag([0.3, 1.1, 2.2, 0.9])  # {I,Z} words all commute
-        plan = make_trotter_plan(a, t=0.9, steps=1, order=1)
+        plan = make_trotter_plan(a, steps=1, order=1)
         np.testing.assert_allclose(
             trotter_unitary(plan, 0.9), unitary_exponential(a, 0.9), atol=1e-10
         )
@@ -105,7 +105,7 @@ class TestTrotter:
         # product formula carries no step-count error at all.
         exact = unitary_exponential(DEMO, 1.0)
         for r in (4, 8, 16, 32, 64):
-            u = trotter_unitary(make_trotter_plan(DEMO, 1.0, r, order=1), 1.0)
+            u = trotter_unitary(make_trotter_plan(DEMO, r, order=1), 1.0)
             assert np.linalg.norm(u - exact, 2) <= 1e-12
 
     @pytest.mark.parametrize("order", [1, 2])
@@ -114,7 +114,7 @@ class TestTrotter:
         steps = np.array([4, 8, 16, 32, 64])
         errors = []
         for r in steps:
-            plan = make_trotter_plan(NONCOMMUTING, 1.0, int(r), order=order)
+            plan = make_trotter_plan(NONCOMMUTING, int(r), order=order)
             errors.append(np.linalg.norm(trotter_unitary(plan, 1.0) - exact, 2))
         slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
         assert slope == pytest.approx(-order, abs=0.15)
@@ -123,7 +123,7 @@ class TestTrotter:
         exact = unitary_exponential(NONCOMMUTING, 1.0)
         errors = []
         for r in (1, 2, 4, 8, 16, 32, 64, 128):
-            plan = make_trotter_plan(NONCOMMUTING, 1.0, r, order=1)
+            plan = make_trotter_plan(NONCOMMUTING, r, order=1)
             errors.append(np.linalg.norm(trotter_unitary(plan, 1.0) - exact, 2))
         for prev, cur in zip(errors, errors[1:]):
             assert cur <= prev or cur <= 1e-12
@@ -131,18 +131,17 @@ class TestTrotter:
     def test_outputs_unitary(self):
         a = random_hermitian(4, seed=6)
         for order in (1, 2):
-            plan = make_trotter_plan(a, 1.0, 5, order=order)
+            plan = make_trotter_plan(a, 5, order=order)
             assert_unitary(trotter_unitary(plan, 1.0))
 
-    def test_stage_coefficients_sum_to_one(self):
-        for order in (1, 2):
-            plan = make_trotter_plan(DEMO, 1.0, 2, order=order)
-            c, d = plan.stage_coefficients
-            assert sum(c) + sum(d) == pytest.approx(1.0)
+    def test_factors_per_step_by_order(self):
+        # DEMO has two terms (I, X); the symmetric order-2 step sweeps them twice.
+        assert make_trotter_plan(DEMO, 2, order=1).factors_per_step == 2
+        assert make_trotter_plan(DEMO, 2, order=2).factors_per_step == 4
 
     def test_plan_rejects_bad_order(self):
         with pytest.raises(ValueError):
-            make_trotter_plan(DEMO, 1.0, 2, order=3)
+            make_trotter_plan(DEMO, 2, order=3)
 
 
 class TestBlockEncode:
@@ -164,7 +163,6 @@ class TestBlockEncode:
         enc = block_encode(DEMO)
         np.testing.assert_allclose(enc.encoded_matrix(), DEMO, atol=1e-10)
         assert enc.alpha >= 1.5
-        assert enc.extra_ancillas == 1
 
     def test_random_invariants(self):
         for seed in range(10):
@@ -228,51 +226,52 @@ class TestTaylorExponential:
 
 class TestBackends:
     def test_exact_power_one_is_exponential(self):
-        backend = ExactEvolution(DEMO)
+        backend = ExactEvolution(hermitian_eigendecomposition(DEMO))
         np.testing.assert_allclose(
-            controlled_evolution(backend, 0.8, 1), unitary_exponential(DEMO, 0.8), atol=1e-12
+            backend.propagator(0.8, 1), unitary_exponential(DEMO, 0.8), atol=1e-12
         )
 
     def test_power_zero_rejected(self):
-        for backend in (ExactEvolution(DEMO), TrotterEvolution(DEMO), BlockEvolution(DEMO)):
+        spectrum = hermitian_eigendecomposition(DEMO)
+        for backend in (ExactEvolution(spectrum), TrotterEvolution(DEMO), BlockEvolution(spectrum)):
             with pytest.raises(ValueError):
-                controlled_evolution(backend, 1.0, 0)
+                backend.propagator(1.0, 0)
 
     def test_trotter_power_matches_rescaled_plan(self):
         backend = TrotterEvolution(NONCOMMUTING, steps=3, order=2)
-        via_power = controlled_evolution(backend, 0.6, 4)
-        plan = make_trotter_plan(NONCOMMUTING, 4 * 0.6, steps=12, order=2)
+        via_power = backend.propagator(0.6, 4)
+        plan = make_trotter_plan(NONCOMMUTING, steps=12, order=2)
         np.testing.assert_allclose(via_power, trotter_unitary(plan, 4 * 0.6), atol=1e-12)
 
     def test_exact_power_semantics(self):
-        backend = ExactEvolution(NONCOMMUTING)
+        backend = ExactEvolution(hermitian_eigendecomposition(NONCOMMUTING))
         np.testing.assert_allclose(
-            controlled_evolution(backend, 0.5, 8),
+            backend.propagator(0.5, 8),
             unitary_exponential(NONCOMMUTING, 4.0),
             atol=1e-10,
         )
 
     def test_block_power_is_composed_base(self):
-        backend = BlockEvolution(NONCOMMUTING)
-        base = controlled_evolution(backend, 0.5, 1)
+        backend = BlockEvolution(hermitian_eigendecomposition(NONCOMMUTING))
+        base = backend.propagator(0.5, 1)
         np.testing.assert_allclose(
-            controlled_evolution(backend, 0.5, 4), np.linalg.matrix_power(base, 4), atol=1e-12
+            backend.propagator(0.5, 4), np.linalg.matrix_power(base, 4), atol=1e-12
         )
 
     def test_every_backend_output_unitary(self):
         a = random_hermitian(4, seed=14)
         for backend in (
-            ExactEvolution(a),
+            ExactEvolution(hermitian_eigendecomposition(a)),
             TrotterEvolution(a, steps=2, order=1),
-            BlockEvolution(a),
+            BlockEvolution(hermitian_eigendecomposition(a)),
         ):
             for power in (1, 2, 8):
-                assert_unitary(controlled_evolution(backend, 0.7, power), atol=1e-9)
+                assert_unitary(backend.propagator(0.7, power), atol=1e-9)
 
     def test_counters(self):
         backend = TrotterEvolution(DEMO, steps=4, order=1)
-        controlled_evolution(backend, 1.0, 1)
-        controlled_evolution(backend, 1.0, 2)
+        backend.propagator(1.0, 1)
+        backend.propagator(1.0, 2)
         assert backend.controlled_u_count == 3
         # 2 terms (I, X) per step, 4 steps per unit power, 3 units of power
         assert backend.elementary_exp_count == 3 * 4 * 2
@@ -280,7 +279,27 @@ class TestBackends:
         assert backend.controlled_u_count == 0
 
     def test_block_counter_tracks_series_terms(self):
-        backend = BlockEvolution(DEMO, truncation=12)
-        controlled_evolution(backend, 1.0, 4)
+        backend = BlockEvolution(hermitian_eigendecomposition(DEMO), truncation=12)
+        backend.propagator(1.0, 4)
         assert backend.controlled_u_count == 4
         assert backend.elementary_exp_count == 4 * 12
+
+
+class TestBlockHotPath:
+    """The backend builds A from the shared spectrum, never the doubled unitary;
+    ``block_encode`` stays the reference it must match bit for bit."""
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            DEMO,
+            random_hermitian(8, seed=21),
+            generate(FamilySpec("tridiagonal", 64, seed=0)).matrix,
+        ],
+        ids=["demo", "random-8", "tridiagonal-64"],
+    )
+    def test_base_propagator_equals_block_encode_reference(self, a):
+        t = 0.5
+        backend = BlockEvolution(hermitian_eigendecomposition(a))
+        reference = taylor_exponential(block_encode(a), t)
+        assert np.array_equal(backend.propagator(t, 1), reference)

@@ -92,19 +92,17 @@ class TestEigendecomposition:
 
 class TestConditionNumber:
     def test_identity(self):
-        assert condition_number(hermitian_eigendecomposition(np.eye(4))) == 1.0
+        assert condition_number(np.linalg.eigvalsh(np.eye(4))) == 1.0
 
     def test_demo_matrix(self):
-        assert condition_number(hermitian_eigendecomposition(DEMO)) == pytest.approx(3.0)
+        assert condition_number(np.linalg.eigvalsh(DEMO)) == pytest.approx(3.0)
 
     def test_diagonal(self):
-        spec = hermitian_eigendecomposition(np.diag([1.0, 2.0, 4.0, 8.0]))
-        assert condition_number(spec) == pytest.approx(8.0)
+        assert condition_number(np.array([1.0, 2.0, 4.0, 8.0])) == pytest.approx(8.0)
 
     def test_singular(self):
-        spec = hermitian_eigendecomposition(np.diag([0.0, 1.0]))
         with pytest.raises(SingularMatrix):
-            condition_number(spec)
+            condition_number(np.array([0.0, 1.0]))
 
 
 class TestUnitaryExponential:

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hhlsim.errors import (
     IndefiniteMatrix,
     ZeroEigenvalueBin,
     ZeroVector,
 )
+from hhlsim.families import FAMILIES, FamilySpec, generate
 from hhlsim.hamiltonian import ExactEvolution
 from hhlsim.linalg import ProblemInstance, hermitian_eigendecomposition
 from hhlsim.pipeline import (
@@ -60,7 +63,7 @@ class TestEigenvalueInversion:
         layout = RegisterLayout(n_clock=n_c, n_data=1)
         state = init_state(layout)
         prepare_b(state, b)
-        phase_estimation(state, ExactEvolution(matrix), n_c, t)
+        phase_estimation(state, ExactEvolution(hermitian_eigendecomposition(matrix)), n_c, t)
         return state, layout
 
     def test_bin_equal_to_c_fully_rotates(self):
@@ -207,6 +210,52 @@ class TestRunHhlGeneral:
         assert result.fidelity > 0.9
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(["diagonal", "dense", "tridiagonal"]),
+    dim=st.sampled_from([2, 4, 8]),
+    seed=st.integers(0, 10_000),
+    s=st.floats(0.01, 1000.0),
+    c=st.complex_numbers(min_magnitude=0.01, max_magnitude=1000.0),
+    method=st.sampled_from(["exact", "block"]),
+)
+def test_rescaling_invariance_property(family, dim, seed, s, c, method):
+    # A -> sA rescales t and C by 1/s and s; b -> cb only rescales the input.
+    problem = generate(FamilySpec(family, dim, seed))
+    scaled = ProblemInstance.from_arrays(s * problem.matrix, c * problem.rhs)
+    r1 = run_hhl(problem, HhlConfig(method=method))
+    r2 = run_hhl(scaled, HhlConfig(method=method))
+    assert r2.resolved.n_c == r1.resolved.n_c
+    assert abs(r2.fidelity - r1.fidelity) <= 1e-9
+    assert abs(r2.success_probability - r1.success_probability) <= 1e-9
+
+
+class TestOneSpectrumPerSolve:
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        calls = []
+        real_eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real_eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        return calls
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_generation_computes_no_eigenvectors(self, eigh_calls, family):
+        generate(FamilySpec(family, 8, seed=0))
+        assert eigh_calls == []
+
+    @pytest.mark.parametrize("method", ["exact", "trotter", "block"])
+    def test_one_eigendecomposition_per_solve(self, eigh_calls, method):
+        problem = generate(FamilySpec("dense", 8, seed=0))
+        eigh_calls.clear()
+        run_hhl(problem, HhlConfig(method=method))
+        assert eigh_calls == [(8, 8)]
+
+
 class TestExpectedOutcomeDistribution:
     def test_demo(self):
         np.testing.assert_allclose(
@@ -226,7 +275,9 @@ class TestExpectedOutcomeDistribution:
 
 class TestConfigResolution:
     def test_auto_clock_width_demo(self):
-        resolved = resolve_config(demo_problem(), HhlConfig())
+        problem = demo_problem()
+        spectrum = hermitian_eigendecomposition(problem.matrix)
+        resolved = resolve_config(problem, HhlConfig(), spectrum)
         assert resolved.n_c == 2
         assert resolved.t == pytest.approx(np.pi)
         assert resolved.C == pytest.approx(0.45)
@@ -236,9 +287,10 @@ class TestConfigResolution:
         a = rng.standard_normal((4, 4))
         a = (a + a.T) / 2 + 4 * np.eye(4)
         problem = ProblemInstance.from_arrays(a, rng.standard_normal(4))
-        resolved = resolve_config(problem, HhlConfig())
+        spectrum = hermitian_eigendecomposition(a)
+        resolved = resolve_config(problem, HhlConfig(), spectrum)
         assert resolved.n_c == 6
-        lam_max = float(np.max(hermitian_eigendecomposition(a).eigenvalues))
+        lam_max = float(np.max(spectrum.eigenvalues))
         assert resolved.t == pytest.approx(2 * np.pi * 63 / (64 * lam_max))
 
 

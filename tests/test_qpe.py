@@ -3,6 +3,7 @@ import pytest
 
 from hhlsim.errors import ClockRegisterNotCleared, DimensionMismatch
 from hhlsim.hamiltonian import ExactEvolution
+from hhlsim.linalg import hermitian_eigendecomposition
 from hhlsim.pipeline import eigenvalue_inversion, prepare_b
 from hhlsim.qpe import (
     apply_qft,
@@ -21,6 +22,10 @@ from hhlsim.statevector import (
 )
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+def exact_backend(a):
+    return ExactEvolution(hermitian_eigendecomposition(a))
 
 
 def random_state(layout, seed):
@@ -83,7 +88,7 @@ class TestPhaseEstimation:
         # representable as bin 0 when A|0> = 0
         layout = RegisterLayout(n_clock=3, n_data=1)
         state = init_state(layout)
-        backend = ExactEvolution(np.diag([0.0, 1.0]))
+        backend = exact_backend(np.diag([0.0, 1.0]))
         phase_estimation(state, backend, 3, t=2 * np.pi / 8)
         assert clock_zero_mass(state) == pytest.approx(1.0, abs=1e-10)
 
@@ -92,7 +97,7 @@ class TestPhaseEstimation:
         layout = RegisterLayout(n_clock=3, n_data=1)
         state = init_state(layout)
         prepare_b(state, np.array([0.0, 1.0]))
-        backend = ExactEvolution(np.diag([1.0, 3.0]))
+        backend = exact_backend(np.diag([1.0, 3.0]))
         t = 2 * np.pi / 8
         phase_estimation(state, backend, 3, t)
         estimate = read_clock(state, t)
@@ -106,7 +111,7 @@ class TestPhaseEstimation:
         layout = RegisterLayout(n_clock=2, n_data=1)
         state = init_state(layout)
         prepare_b(state, np.array([1.0, 0.0]))
-        backend = ExactEvolution(np.array([[1.0, -0.5], [-0.5, 1.0]]))
+        backend = exact_backend(np.array([[1.0, -0.5], [-0.5, 1.0]]))
         phase_estimation(state, backend, 2, t=np.pi)
         probs = marginal_probabilities(state, layout.clock_qubits)
         np.testing.assert_allclose(probs, [0.0, 0.5, 0.0, 0.5], atol=1e-10)
@@ -115,7 +120,7 @@ class TestPhaseEstimation:
         for n_c in range(1, 8):
             layout = RegisterLayout(n_clock=n_c, n_data=1)
             state = init_state(layout)
-            backend = ExactEvolution(np.diag([1.0, 2.0]))
+            backend = exact_backend(np.diag([1.0, 2.0]))
             phase_estimation(state, backend, n_c, t=2 * np.pi / (1 << n_c))
             assert backend.controlled_u_count == (1 << n_c) - 1
 
@@ -124,7 +129,7 @@ class TestPhaseEstimation:
         state = init_state(layout)
         apply_unitary(state, H, [layout.clock_qubits[0]])
         with pytest.raises(ClockRegisterNotCleared):
-            phase_estimation(state, ExactEvolution(np.eye(2)), 2, t=1.0)
+            phase_estimation(state, exact_backend(np.eye(2)), 2, t=1.0)
 
     def test_nearest_bin_mass_bound(self):
         # standard guarantee: the closest bin carries at least 4/pi^2
@@ -134,7 +139,7 @@ class TestPhaseEstimation:
             lam = rng.uniform(1.0, 14.0)  # keep the phase inside bins 1..15
             state = init_state(layout)
             prepare_b(state, np.array([0.0, 1.0]))
-            backend = ExactEvolution(np.diag([0.0, lam]))
+            backend = exact_backend(np.diag([0.0, lam]))
             t = 2 * np.pi / 16
             phase_estimation(state, backend, 4, t)
             probs = marginal_probabilities(state, layout.clock_qubits)
@@ -147,7 +152,7 @@ class TestInversePhaseEstimation:
         rng = np.random.default_rng(12)
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         a = (a + a.conj().T) / 2
-        backend = ExactEvolution(a)
+        backend = exact_backend(a)
         layout = RegisterLayout(n_clock=3, n_data=2)
         for seed in range(5):
             state = random_state(layout, seed)
@@ -163,7 +168,7 @@ class TestInversePhaseEstimation:
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         a = (a + a.conj().T) / 2 + 3 * np.eye(4)
         layout = RegisterLayout(n_clock=4, n_data=2)
-        backend = ExactEvolution(a)
+        backend = exact_backend(a)
         state = init_state(layout)
         prepare_b(state, rng.standard_normal(4) + 1j * rng.standard_normal(4))
         original = state.amplitudes.copy()
@@ -176,7 +181,7 @@ class TestInversePhaseEstimation:
         layout = RegisterLayout(n_clock=3, n_data=1)
         state = init_state(layout)
         prepare_b(state, np.array([0.6, 0.8]))
-        backend = ExactEvolution(np.diag([1.0, 3.0]))
+        backend = exact_backend(np.diag([1.0, 3.0]))
         t = 2 * np.pi / 8
         phase_estimation(state, backend, 3, t)
         inverse_phase_estimation(state, backend, 3, t)
@@ -189,7 +194,7 @@ class TestInversePhaseEstimation:
         layout = RegisterLayout(n_clock=3, n_data=1)
         state = init_state(layout)
         prepare_b(state, np.array([0.6, 0.8]))
-        backend = ExactEvolution(np.diag([1.0, np.pi]))
+        backend = exact_backend(np.diag([1.0, np.pi]))
         t = 2 * np.pi / 8
         phase_estimation(state, backend, 3, t)
         eigenvalue_inversion(state, 0.9, 3, t, zero_bin_tolerance=0.5)
@@ -203,7 +208,7 @@ def test_phase_estimate_fields():
     state = init_state(layout)
     prepare_b(state, np.array([0.0, 1.0]))
     t = 2 * np.pi / 4
-    phase_estimation(state, ExactEvolution(np.diag([0.0, 2.0])), 2, t)
+    phase_estimation(state, exact_backend(np.diag([0.0, 2.0])), 2, t)
     estimate = read_clock(state, t)
     assert estimate.clock_distribution.sum() == pytest.approx(1.0, abs=1e-10)
     assert estimate.peak_bin == 2

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from hhlsim import sweep
 from hhlsim.sweep import (
     ROW_COLUMNS,
     SUMMARY_COLUMNS,
@@ -94,6 +95,23 @@ class TestRunSweep:
         summary = read_rows(summary_path)
         assert summary[0]["errors"] == "3"
         assert summary[0]["fidelity_mean"] == ""
+
+    def test_unexpected_exception_recorded_not_raised(self, tmp_path, monkeypatch):
+        real_run_hhl = sweep.run_hhl
+
+        def failing_on_seed_one(problem, config):
+            if config.seed == 1:
+                raise RuntimeError("backend exploded")
+            return real_run_hhl(problem, config)
+
+        monkeypatch.setattr(sweep, "run_hhl", failing_on_seed_one)
+        config = tiny_config(tmp_path / "out", families=[FamilyTemplate(family="dense")], sizes=[4])
+        rows_path, summary_path = run_sweep(config)
+        rows = read_rows(rows_path)
+        assert [r["error"] for r in rows] == ["", "RuntimeError: backend exploded", ""]
+        assert rows[0]["fidelity"] and not rows[1]["fidelity"]
+        summary = read_rows(summary_path)
+        assert summary[0]["errors"] == "1"
 
     def test_summary_matches_independent_recompute(self, tmp_path):
         rows_path, summary_path = run_sweep(tiny_config(tmp_path / "out"))
