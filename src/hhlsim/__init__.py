@@ -30,25 +30,15 @@ from .pipeline import (
     HhlResult,
     eigenvalue_inversion,
     expected_outcome_distribution,
-    prepare_b,
     resolve_config,
     run_hhl,
 )
-from .qpe import (
-    PhaseEstimate,
-    inverse_phase_estimation,
-    phase_estimation,
-    qft,
-    read_clock,
-)
+from .qpe import inverse_phase_estimation, phase_estimation
 from .statevector import (
     RegisterLayout,
     ShotHistogram,
     StateVector,
-    apply_unitary,
     fidelity,
-    init_state,
-    measure_qubit,
     sample_counts,
 )
 from .sweep import (
@@ -89,21 +79,14 @@ __all__ = [
     "HhlResult",
     "eigenvalue_inversion",
     "expected_outcome_distribution",
-    "prepare_b",
     "resolve_config",
     "run_hhl",
-    "PhaseEstimate",
     "inverse_phase_estimation",
     "phase_estimation",
-    "qft",
-    "read_clock",
     "RegisterLayout",
     "ShotHistogram",
     "StateVector",
-    "apply_unitary",
     "fidelity",
-    "init_state",
-    "measure_qubit",
     "sample_counts",
     "FamilyTemplate",
     "MethodConfig",

@@ -41,10 +41,6 @@ class RegisterTooLarge(HhlSimError):
     """Requested register layout exceeds the amplitude budget."""
 
 
-class ZeroProbabilityBranch(HhlSimError):
-    """Requested collapse onto a measurement outcome with (near-)zero probability."""
-
-
 class ZeroVector(HhlSimError):
     """Vector with zero norm where a normalizable state is required."""
 
@@ -55,10 +51,6 @@ class NormalizationFailure(HhlSimError):
 
 class TruncationInsufficient(HhlSimError):
     """Taylor series truncation bound exceeds the requested tolerance."""
-
-
-class ClockRegisterNotCleared(HhlSimError):
-    """Phase estimation requires the clock register to start in the all-zeros state."""
 
 
 class ZeroEigenvalueBin(HhlSimError):

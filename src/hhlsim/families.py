@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InfeasibleSpec
-from .linalg import ProblemInstance, max_nonzeros_per_row
+from .linalg import ProblemInstance, condition_number, max_nonzeros_per_row, require_hermitian
 
 FAMILIES = ("diagonal", "tridiagonal", "moderate", "dense")
 
@@ -90,8 +90,11 @@ def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _shift_to_kappa(b: np.ndarray, kappa: float) -> np.ndarray:
-    """Add sigma*I so the spectrum scales to exactly the target condition number."""
+def _shift_to_kappa(b: np.ndarray, kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """Add sigma*I so the spectrum scales to exactly the target condition number.
+
+    Returns the shifted matrix and its eigenvalues mu + sigma.
+    """
     mu = np.linalg.eigvalsh(b)
     mu_min, mu_max = float(mu[0]), float(mu[-1])
     if mu_max - mu_min < 1e-9:
@@ -99,7 +102,7 @@ def _shift_to_kappa(b: np.ndarray, kappa: float) -> np.ndarray:
     if kappa <= 1.0 + 1e-12:
         raise InfeasibleSpec("structural families cannot hit kappa = 1 exactly")
     sigma = (mu_max - kappa * mu_min) / (kappa - 1.0)
-    return b + sigma * np.eye(b.shape[0])
+    return b + sigma * np.eye(b.shape[0]), mu + sigma
 
 
 def _tridiagonal_structure(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -146,11 +149,17 @@ def _moderate_structure(spec: FamilySpec, rng: np.random.Generator) -> np.ndarra
 
 
 def generate(spec: FamilySpec) -> ProblemInstance:
-    """Deterministically generate one Hermitian positive-definite instance."""
+    """Deterministically generate one Hermitian positive-definite instance.
+
+    Kappa comes from the eigenvalues the construction already holds: the
+    sampled spectrum, or the structure's shifted one. No second
+    eigendecomposition is run.
+    """
     rng = np.random.default_rng(spec.seed)
     n = spec.dim
     if spec.family == "diagonal":
-        a = np.diag(_sample_eigenvalues(spec, rng)).astype(np.complex128)
+        values = _sample_eigenvalues(spec, rng)
+        a = np.diag(values).astype(np.complex128)
     elif spec.family == "dense":
         values = _sample_eigenvalues(spec, rng)
         q = _haar_unitary(n, rng)
@@ -159,16 +168,22 @@ def generate(spec: FamilySpec) -> ProblemInstance:
     elif spec.family == "tridiagonal":
         if spec.wants_grid():
             raise InfeasibleSpec("tridiagonal spectra cannot be forced onto the clock grid")
-        a = _shift_to_kappa(_tridiagonal_structure(n, rng), spec.kappa_target)
+        a, values = _shift_to_kappa(_tridiagonal_structure(n, rng), spec.kappa_target)
         a = a.astype(np.complex128)
     else:  # moderate
         if spec.wants_grid():
             raise InfeasibleSpec("moderate spectra cannot be forced onto the clock grid")
-        a = _shift_to_kappa(_moderate_structure(spec, rng), spec.kappa_target)
+        a, values = _shift_to_kappa(_moderate_structure(spec, rng), spec.kappa_target)
         a = a.astype(np.complex128)
     rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     rhs /= np.linalg.norm(rhs)
-    return ProblemInstance.from_arrays(a, rhs)
+    a = require_hermitian(a)
+    return ProblemInstance(
+        matrix=a,
+        rhs=rhs,
+        sparsity=max_nonzeros_per_row(a),
+        condition_number=condition_number(values),
+    )
 
 
 def family_census(problem: ProblemInstance) -> dict:

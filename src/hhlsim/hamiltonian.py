@@ -1,20 +1,25 @@
-"""Hamiltonian-simulation backends for the controlled-U ladder.
+"""Hamiltonian-simulation backends: the base propagator U = exp(i*A*t).
 
-Three interchangeable ways to realize U^power with U = exp(i*A*t):
+Three interchangeable ways to realize U:
 
-* ``exact``   - eigendecomposition, numerically exact;
-* ``trotter`` - product formula over the Pauli decomposition of A, with a
-  fixed per-step size so U^power reuses the same splitting at power-fold cost;
-* ``block``   - A/alpha, the top-left block of a unitary of twice the
-  dimension, built from the spectrum the pipeline already computed;
-  exp(i*A*t) is the truncated Taylor series of the encoded block projected
-  back to the nearest unitary. The doubled unitary itself is built only on
-  request (``BlockEncoding.unitary``), never on the solve path.
+* ``exact``   - V e^{i*lambda*t} V^dagger from the eigendecomposition;
+* ``trotter`` - product formula over the Pauli decomposition of A, ``steps``
+  repetitions of one step of size t/steps;
+* ``block``   - the truncated Taylor series p_K(i*A*t) of the block-encoded
+  A = alpha * (A/alpha), projected to the nearest unitary. A polynomial in a
+  Hermitian matrix is diagonal in its eigenbasis and the polar factor of a
+  normal matrix is its phase, so the backend evaluates p_K on the encoded
+  eigenvalues of the spectrum the pipeline already computed and returns
+  V diag(p/|p|) V^dagger. ``taylor_exponential(block_encode(A), t)`` builds
+  the same matrix the long way (series of matrix products, SVD) and stays
+  the reference; the doubled unitary is built only on request
+  (``BlockEncoding.unitary``).
 
-Every backend keeps two cost counters: ``controlled_u_count`` (applications
-of U, i.e. the sum of requested powers) and ``elementary_exp_count`` (the
-number of elementary exponential factors the realization would spend). The
-counters model circuit cost; the matrix algebra itself uses repeated squaring.
+Phase estimation needs only U: it applies U^m as m mat-vecs. Every backend
+still keeps two cost counters for the modelled circuit, charged per pass of
+the controlled-U^(2^k) ladder: ``controlled_u_count`` (applications of U,
+sum_k 2^k per pass) and ``elementary_exp_count`` (the elementary exponential
+factors those applications would spend).
 """
 
 from __future__ import annotations
@@ -197,23 +202,26 @@ def trotter_unitary(plan: TrotterPlan, t: float) -> np.ndarray:
 class BlockEncoding:
     """A/alpha as the top-left block of U = [[A/a, B], [B, -A/a]].
 
-    B = sqrt(I-(A/a)^2) commutes with A, which makes U unitary. Only alpha,
-    A/alpha and the spectrum they came from are kept; ``unitary`` builds the
-    doubled matrix on request.
+    B = sqrt(I-(A/a)^2) commutes with A, which makes U unitary. Only alpha
+    and the spectrum are kept; ``scaled`` and ``unitary`` build their
+    matrices on request.
     """
 
     spectrum: Spectrum
     alpha: float
-    scaled: np.ndarray  # A / alpha
 
     @classmethod
     def from_spectrum(cls, spectrum: Spectrum) -> "BlockEncoding":
         """alpha = ||A|| with a tiny safety margin, so I - (A/alpha)^2 stays PSD."""
         norm2 = float(np.max(np.abs(spectrum.eigenvalues))) if spectrum.dim else 0.0
         alpha = norm2 * (1.0 + 1e-9) if norm2 > 0.0 else 1.0
-        v = spectrum.eigenvectors
-        scaled = (v * (spectrum.eigenvalues / alpha)) @ v.conj().T
-        return cls(spectrum=spectrum, alpha=alpha, scaled=scaled)
+        return cls(spectrum=spectrum, alpha=alpha)
+
+    @property
+    def scaled(self) -> np.ndarray:
+        """A / alpha."""
+        v = self.spectrum.eigenvectors
+        return (v * (self.spectrum.eigenvalues / self.alpha)) @ v.conj().T
 
     @property
     def unitary(self) -> np.ndarray:
@@ -224,7 +232,8 @@ class BlockEncoding:
             )
         v = self.spectrum.eigenvectors
         b = (v * np.sqrt(np.clip(complement, 0.0, None))) @ v.conj().T
-        return np.block([[self.scaled, b], [b, -self.scaled]])
+        scaled = self.scaled
+        return np.block([[scaled, b], [b, -scaled]])
 
     def encoded_matrix(self) -> np.ndarray:
         """alpha * (top-left block), i.e. the matrix that was encoded."""
@@ -292,34 +301,44 @@ def taylor_exponential(
 
 
 class EvolutionBackend:
-    """Shared counter bookkeeping for the controlled-U providers."""
+    """Base propagator cache and ladder cost bookkeeping."""
 
     method = "abstract"
 
     def __init__(self):
         self.controlled_u_count = 0
         self.elementary_exp_count = 0
+        self._bases: dict[float, np.ndarray] = {}
 
     def reset_counters(self) -> None:
         self.controlled_u_count = 0
         self.elementary_exp_count = 0
 
-    def propagator(self, t: float, power: int) -> np.ndarray:
-        if power < 1:
-            raise ValueError(f"power must be >= 1, got {power}")
-        self.controlled_u_count += power
-        self.elementary_exp_count += self._exp_cost(power)
-        return self._propagator(t, power)
+    def propagator(self, t: float) -> np.ndarray:
+        """U = exp(i*A*t), built once per t."""
+        base = self._bases.get(t)
+        if base is None:
+            base = self._bases[t] = self._propagator(t)
+        return base
 
-    def _exp_cost(self, power: int) -> int:
+    def charge_ladder(self, t: float, n_c: int) -> None:
+        """Charge one pass of the controlled-U^(2^k) ladder, k = 0 .. n_c-1."""
+        if n_c < 1:
+            raise ValueError(f"a ladder needs at least one rung, got n_c={n_c}")
+        applications = (1 << n_c) - 1  # sum of the rungs 2^k
+        self.controlled_u_count += applications
+        self.elementary_exp_count += applications * self._exp_cost(t)
+
+    def _exp_cost(self, t: float) -> int:
+        """Elementary exponentials per application of U."""
         raise NotImplementedError
 
-    def _propagator(self, t: float, power: int) -> np.ndarray:
+    def _propagator(self, t: float) -> np.ndarray:
         raise NotImplementedError
 
 
 class ExactEvolution(EvolutionBackend):
-    """exp(i*A*t*power) straight from the eigendecomposition."""
+    """exp(i*A*t) straight from the eigendecomposition."""
 
     method = "exact"
 
@@ -327,19 +346,18 @@ class ExactEvolution(EvolutionBackend):
         super().__init__()
         self.spectrum = spectrum
 
-    def _exp_cost(self, power: int) -> int:
-        return power
+    def _exp_cost(self, t: float) -> int:
+        return 1
 
-    def _propagator(self, t: float, power: int) -> np.ndarray:
-        return propagator_from_spectrum(self.spectrum, t * power)
+    def _propagator(self, t: float) -> np.ndarray:
+        return propagator_from_spectrum(self.spectrum, t)
 
 
 class TrotterEvolution(EvolutionBackend):
     """Product formula with a per-step size fixed by the base time t.
 
-    U^power re-applies the same step, so the modelled circuit spends
-    power * steps * factors_per_step elementary exponentials; the matrix is
-    computed by repeated squaring.
+    Each application of U repeats the step ``steps`` times, so the modelled
+    circuit spends steps * factors_per_step elementary exponentials per U.
     """
 
     method = "trotter"
@@ -348,25 +366,22 @@ class TrotterEvolution(EvolutionBackend):
         super().__init__()
         self.plan = make_trotter_plan(a, steps, order)
         self.terms = self.plan.terms
-        self._step_cache: dict[float, np.ndarray] = {}
 
-    def _exp_cost(self, power: int) -> int:
-        return power * self.plan.steps * self.plan.factors_per_step
+    def _exp_cost(self, t: float) -> int:
+        return self.plan.steps * self.plan.factors_per_step
 
-    def _propagator(self, t: float, power: int) -> np.ndarray:
-        step = self._step_cache.get(t)
-        if step is None:
-            step = _trotter_step_matrix(self.plan, t / self.plan.steps)
-            self._step_cache[t] = step
-        return np.linalg.matrix_power(step, self.plan.steps * power)
+    def _propagator(self, t: float) -> np.ndarray:
+        return trotter_unitary(self.plan, t)
 
 
 class BlockEvolution(EvolutionBackend):
     """Taylor-series propagator from the block encoding of A.
 
-    The base propagator exp(i*A*t) is built once per t; higher powers compose
-    it, because a single series at time t*power would need an ever larger
-    truncation order (the remainder bound grows like (alpha*t*power)^K / K!).
+    Only the base exp(i*A*t) is built; a single series at time t*power would
+    need an ever larger truncation order (the remainder bound grows like
+    (alpha*t*power)^K / K!). Each application of U spends K series terms.
+    The series and its polar projection are evaluated on the encoded
+    eigenvalues alpha * (lambda/alpha) rather than on the matrix.
     """
 
     method = "block"
@@ -375,29 +390,23 @@ class BlockEvolution(EvolutionBackend):
         super().__init__()
         self.encoding = BlockEncoding.from_spectrum(spectrum)
         self.truncation = truncation
-        self._base_cache: dict[float, np.ndarray] = {}
-        self._last_k = 0
 
-    def _truncation_for(self, t: float) -> int:
+    def _exp_cost(self, t: float) -> int:
+        """Series order K, which is also the cost of one application of U."""
         if self.truncation is not None:
             return self.truncation
         return select_taylor_truncation(self.encoding.alpha, t)
 
-    def _exp_cost(self, power: int) -> int:
-        # Series terms per application of U; t is resolved at propagator
-        # time, so propagator() stashes the truncation order first.
-        return power * self._last_k
-
-    def propagator(self, t: float, power: int) -> np.ndarray:
-        self._last_k = self._truncation_for(t)
-        return super().propagator(t, power)
-
-    def _propagator(self, t: float, power: int) -> np.ndarray:
-        base = self._base_cache.get(t)
-        if base is None:
-            base = taylor_exponential(self.encoding, t, truncation=self._truncation_for(t))
-            self._base_cache[t] = base
-        return np.linalg.matrix_power(base, power)
+    def _propagator(self, t: float) -> np.ndarray:
+        spectrum, alpha = self.encoding.spectrum, self.encoding.alpha
+        x = 1j * t * (alpha * (spectrum.eigenvalues / alpha))
+        acc = np.ones_like(x)
+        term = np.ones_like(x)
+        for j in range(1, self._exp_cost(t) + 1):
+            term = term * x / j
+            acc = acc + term
+        v = spectrum.eigenvectors
+        return (v * (acc / np.abs(acc))) @ v.conj().T
 
 
 def make_backend(

@@ -103,11 +103,10 @@ def _reorthonormalize_cluster(block: np.ndarray) -> np.ndarray:
     (ties broken by index), so the scan stays O(n k^2) instead of sweeping
     every near-null canonical vector.
     """
-    n, k = block.shape
+    k = block.shape[1]
     mass = np.sum(np.abs(block) ** 2, axis=1)
-    order = sorted(range(n), key=lambda i: (-mass[i], i))
     basis: list[np.ndarray] = []
-    for i in order:
+    for i in np.argsort(-mass, kind="stable"):
         cand = block @ block[i, :].conj()  # projection of e_i onto the span
         for b in basis:
             cand -= b * (b.conj() @ cand)

@@ -1,13 +1,20 @@
 """End-to-end quantum linear solve on the state-vector engine.
 
-Stages: encode b on the data register, phase-estimate the eigenvalues into
-the clock register, rotate the ancilla by arcsin(C/lambda) controlled on each
-clock bin, post-select ancilla = 1 by exact collapse, uncompute the clock,
-and read the solution amplitudes off the data register.
+Stages: one eigendecomposition of A (shared by the config resolution, the
+representability check and the exact and block backends), encode b on the
+data register, phase-estimate the eigenvalues into the clock register,
+rotate the ancilla by arcsin(C/lambda) controlled on each clock bin,
+post-select ancilla = 1, uncompute the clock, and read the solution
+amplitudes off the zero-clock data block.
 
-Post-selection uses the exact collapsed state, so reported fidelities measure
-algorithmic error only; shot noise enters solely through histogram sampling
-on the final state.
+The state is held as (clock, data) blocks, never as the full
+ancilla-clock-data register. Phase estimation and its uncompute each apply
+one base propagator U = exp(i*A*t) as a Krylov sequence of mat-vecs plus an
+FFT along the clock axis (see :mod:`hhlsim.qpe`). The rotation's ancilla = 1
+branch is the clock-by-data array scaled bin by bin, and post-selection
+keeps exactly that branch, renormalized by its squared norm (the success
+probability). Reported fidelities therefore measure algorithmic error only;
+shot noise enters solely through histogram sampling on the final state.
 """
 
 from __future__ import annotations
@@ -34,15 +41,8 @@ from .linalg import (
     vector_from_json,
     vector_to_json,
 )
-from .qpe import clock_zero_mass, inverse_phase_estimation, phase_estimation
-from .statevector import (
-    RegisterLayout,
-    StateVector,
-    collapse,
-    fidelity,
-    init_state,
-    marginal_probabilities,
-)
+from .qpe import inverse_phase_estimation, phase_estimation
+from .statevector import RegisterLayout, fidelity
 
 POPULATION_CUTOFF = 1e-12
 
@@ -51,9 +51,8 @@ POPULATION_CUTOFF = 1e-12
 class HhlConfig:
     """Run parameters; fields left as None are resolved from the spectrum.
 
-    ``epsilon`` is the requested solution precision; it is recorded with the
-    results for reporting. ``seed`` feeds histogram sampling only (the
-    pipeline itself is deterministic).
+    ``seed`` feeds histogram sampling only (the pipeline itself is
+    deterministic).
     """
 
     n_c: int | None = None
@@ -65,7 +64,6 @@ class HhlConfig:
     taylor_k: int | None = None
     shots: int = 10_000
     seed: int = 0
-    epsilon: float = 1e-8
 
     def backend_label(self) -> str:
         if self.method == "trotter":
@@ -218,53 +216,39 @@ def amplitude_encode(b) -> np.ndarray:
     return mags * np.exp(1j * np.angle(target))
 
 
-def prepare_b(state: StateVector, b) -> StateVector:
-    """Load b/||b|| into the data register of a freshly initialized state."""
-    amps = amplitude_encode(b)
-    dim = len(amps)
-    if dim != 1 << state.layout.n_data:
-        raise DimensionMismatch(
-            f"rhs of dimension {dim} does not fit {state.layout.n_data} data qubits"
-        )
-    state.amplitudes[:dim] = amps
-    state.amplitudes[dim:] = 0.0
-    return state
-
-
 def eigenvalue_inversion(
-    state: StateVector,
+    amplitudes: np.ndarray,
     c: float,
     n_c: int,
     t: float,
     zero_bin_tolerance: float = 1e-10,
-) -> StateVector:
-    """Rotate the ancilla by 2*arcsin(C/lambda_m), controlled on clock value m.
+) -> np.ndarray:
+    """Ancilla = 1 branch of the rotation by 2*arcsin(C/lambda_m) on clock bin m.
 
-    Bin m corresponds to lambda_m = 2*pi*m / (2^n_c * t); bin 0 has no finite
-    rotation and must be (near-)empty. For bins below C (possible only as
-    discretization leakage) the rotation clamps at arcsin(1).
+    Takes the clock-by-data ``amplitudes`` of phase estimation (ancilla 0)
+    and returns what the rotation moves to ancilla 1: bin m scaled by
+    sin = min(C/lambda_m, 1), with lambda_m = 2*pi*m / (2^n_c * t). Bin 0
+    has no finite rotation, must be (near-)empty and stays on ancilla 0. For
+    bins below C (possible only as discretization leakage) the rotation
+    clamps at arcsin(1).
     """
     if c <= 0.0:
         raise ValueError(f"inversion constant must be positive, got {c}")
-    layout = state.layout
     bins = 1 << n_c
-    dim = 1 << layout.n_data
-    arr = state.amplitudes.reshape(2, bins, dim)
-    zero_bin_mass = float(np.sum(np.abs(arr[:, 0, :]) ** 2))
+    if amplitudes.ndim != 2 or amplitudes.shape[0] != bins:
+        raise DimensionMismatch(
+            f"amplitudes of shape {amplitudes.shape} do not have {bins} clock bins"
+        )
+    zero_bin_mass = float(np.sum(np.abs(amplitudes[0]) ** 2))
     if zero_bin_mass > zero_bin_tolerance:
         raise ZeroEigenvalueBin(
             f"clock bin 0 carries probability {zero_bin_mass:.3e} "
             f"(tolerance {zero_bin_tolerance:.1e})"
         )
     lam = 2.0 * np.pi * np.arange(1, bins) / (bins * t)
-    ratio = np.minimum(c / lam, 1.0)
-    sin_half = ratio[:, None]
-    cos_half = np.sqrt(1.0 - ratio**2)[:, None]
-    a0 = arr[0, 1:, :].copy()
-    a1 = arr[1, 1:, :].copy()
-    arr[0, 1:, :] = cos_half * a0 - sin_half * a1
-    arr[1, 1:, :] = sin_half * a0 + cos_half * a1
-    return state
+    rotated = np.zeros_like(amplitudes)
+    rotated[1:] = np.minimum(c / lam, 1.0)[:, None] * amplitudes[1:]
+    return rotated
 
 
 def run_hhl(problem: ProblemInstance, config: HhlConfig) -> HhlResult:
@@ -272,12 +256,10 @@ def run_hhl(problem: ProblemInstance, config: HhlConfig) -> HhlResult:
     spectrum = hermitian_eigendecomposition(problem.matrix)
     resolved = resolve_config(problem, config, spectrum)
     n_c, t, c = resolved.n_c, resolved.t, resolved.C
-    n_data = require_power_of_two(problem.dim)
+    # The clock-by-data arrays hold half the modelled register; refuse a
+    # register over the amplitude budget before anything is built.
+    RegisterLayout(n_clock=n_c, n_data=require_power_of_two(problem.dim))
     representable = spectrum_is_representable(problem, n_c, t, spectrum)
-
-    layout = RegisterLayout(n_clock=n_c, n_data=n_data)
-    state = init_state(layout)
-    prepare_b(state, problem.rhs)
 
     backend = make_backend(
         problem.matrix,
@@ -287,30 +269,23 @@ def run_hhl(problem: ProblemInstance, config: HhlConfig) -> HhlResult:
         trotter_order=resolved.trotter_order,
         taylor_k=resolved.taylor_k,
     )
-    phase_estimation(state, backend, n_c, t)
+    phased = phase_estimation(amplitude_encode(problem.rhs), backend, n_c, t)
     # Only the exact backend on an on-grid spectrum is guaranteed to leave
     # bin 0 empty; off-grid spectra and approximate propagators leak a little
     # mass everywhere, so only a gross population (a genuinely mis-scaled
     # problem, already screened in resolve_config) is an error there.
     strict = representable and resolved.method == "exact"
     zero_bin_tolerance = 1e-10 if strict else 0.5
-    eigenvalue_inversion(state, c, n_c, t, zero_bin_tolerance=zero_bin_tolerance)
+    rotated = eigenvalue_inversion(phased, c, n_c, t, zero_bin_tolerance=zero_bin_tolerance)
 
-    probs = marginal_probabilities(state, [layout.ancilla_qubit])
-    success = float(probs[1])
+    success = float(np.sum(np.abs(rotated) ** 2))
     if success < 1e-12:
         raise PostSelectionImpossible(
             f"ancilla success probability {success:.3e} below 1e-12"
         )
-    _, state = collapse(state, layout.ancilla_qubit, 1)
-
-    inverse_phase_estimation(state, backend, n_c, t)
-    clock_residual = 1.0 - clock_zero_mass(state)
-
-    # Post-selected (ancilla=1, clock=0) block holds the solution amplitudes.
-    offset = 1 << (n_c + n_data)
-    solution = state.amplitudes[offset : offset + (1 << n_data)].copy()
-    solution_norm = np.linalg.norm(solution)
+    solution = inverse_phase_estimation(rotated / math.sqrt(success), backend, n_c, t)
+    solution_norm = float(np.linalg.norm(solution))
+    clock_residual = 1.0 - solution_norm**2
     if solution_norm < 1e-12:
         raise PostSelectionImpossible("no amplitude survived on the zero-clock block")
     solution /= solution_norm
@@ -354,7 +329,6 @@ def config_to_json(config: HhlConfig) -> dict:
         "taylor_k": config.taylor_k,
         "shots": config.shots,
         "seed": config.seed,
-        "epsilon": config.epsilon,
     }
 
 

@@ -1,124 +1,80 @@
-"""Quantum phase estimation and its exact adjoint (uncompute).
+"""Quantum phase estimation and its uncompute, in the Fourier view.
 
 The clock register stores integer bin m for a phase theta = m / 2^n_c, i.e.
-an eigenvalue lambda = 2*pi*m / (2^n_c * t) of the Hermitian generator. Clock
-qubit k controls U^(2^k), so one forward pass costs sum_k 2^k = 2^n_c - 1
-applications of U (tracked on the backend's counters).
+an eigenvalue lambda = 2*pi*m / (2^n_c * t) of the Hermitian generator.
+Before its inverse QFT, phase estimation leaves the state
+sum_m |m> U^m|b> / sqrt(M), with M = 2^n_c and U = exp(i*A*t): a Krylov
+sequence of b under U, one data block per clock value. The inverse QFT on
+the clock is then a discrete Fourier transform along the clock axis (Cleve,
+Ekert, Macchiavello and Mosca, "Quantum algorithms revisited",
+quant-ph/9708016), so a forward pass is M - 1 mat-vecs with one base
+propagator plus one FFT. The uncompute mirrors it: an inverse FFT, then the
+zero-clock block sum_m U^-m chi_m as a Horner pass with U^dagger.
 
-The QFT is applied gate-by-gate (Hadamard, controlled phases, swaps); the
-dense matrix form exists only for tests and small diagnostics.
+The base U is the backend's (:mod:`hhlsim.hamiltonian`), built once per t
+and checked for unitarity once, in the forward pass; no U^(2^k) is formed.
+Clock-by-data states are (2^n_c, N) arrays whose row j is the data block of
+clock bin j. The modelled circuit still spends a controlled U^(2^k) per
+clock qubit k, i.e. 2^n_c - 1 applications of U per pass; the backend
+charges that on its counters. The gate-level circuit this replaces is kept
+as the test oracle ``tests/qpe_oracle.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ClockRegisterNotCleared, DimensionMismatch
+from .errors import DimensionMismatch
 from .hamiltonian import EvolutionBackend
-from .statevector import StateVector, apply_unitary, marginal_probabilities
-
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
-SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.complex128
-)
-
-
-def qft(n: int) -> np.ndarray:
-    """Dense QFT matrix: entry (j, k) = exp(2*pi*i*j*k / 2^n) / sqrt(2^n)."""
-    if n < 1 or n > 12:
-        raise DimensionMismatch(f"dense QFT matrix limited to 1..12 qubits, got {n}")
-    dim = 1 << n
-    idx = np.arange(dim)
-    return np.exp(2j * np.pi * np.outer(idx, idx) / dim) / np.sqrt(dim)
-
-
-def _phase_gate(theta: float) -> np.ndarray:
-    return np.array([[1.0, 0.0], [0.0, np.exp(1j * theta)]], dtype=np.complex128)
-
-
-def apply_qft(state: StateVector, qubits: list[int], inverse: bool = False) -> StateVector:
-    """Gate-level QFT on a qubit group; qubits[i] is bit i of the register value."""
-    n = len(qubits)
-    if not inverse:
-        for i in range(n - 1, -1, -1):
-            apply_unitary(state, HADAMARD, [qubits[i]])
-            for j in range(i - 1, -1, -1):
-                theta = 2.0 * np.pi / (1 << (i - j + 1))
-                apply_unitary(state, _phase_gate(theta), [qubits[i]], controls=[qubits[j]])
-        for i in range(n // 2):
-            apply_unitary(state, SWAP, [qubits[i], qubits[n - 1 - i]])
-    else:
-        for i in range(n // 2):
-            apply_unitary(state, SWAP, [qubits[i], qubits[n - 1 - i]])
-        for i in range(n):
-            for j in range(i):
-                theta = -2.0 * np.pi / (1 << (i - j + 1))
-                apply_unitary(state, _phase_gate(theta), [qubits[i]], controls=[qubits[j]])
-            apply_unitary(state, HADAMARD, [qubits[i]])
-    return state
-
-
-@dataclass(frozen=True)
-class PhaseEstimate:
-    """Clock readout: full bin distribution, the dominant bin and its eigenvalue."""
-
-    clock_distribution: np.ndarray
-    peak_bin: int
-    implied_eigenvalue: float
-
-
-def read_clock(state: StateVector, t: float) -> PhaseEstimate:
-    """Diagnostic readout of the clock register after phase estimation."""
-    layout = state.layout
-    probs = marginal_probabilities(state, layout.clock_qubits)
-    peak = int(np.argmax(probs))
-    lam = 2.0 * np.pi * peak / ((1 << layout.n_clock) * t)
-    return PhaseEstimate(clock_distribution=probs, peak_bin=peak, implied_eigenvalue=lam)
-
-
-def clock_zero_mass(state: StateVector) -> float:
-    """Probability that the clock register reads all zeros."""
-    probs = marginal_probabilities(state, state.layout.clock_qubits)
-    return float(probs[0])
+from .statevector import _check_unitary
 
 
 def phase_estimation(
-    state: StateVector, backend: EvolutionBackend, n_c: int, t: float
-) -> StateVector:
-    """Hadamards, the controlled U^(2^k) ladder, then the inverse QFT on the clock."""
-    layout = state.layout
-    if layout.n_clock != n_c:
-        raise DimensionMismatch(f"state has {layout.n_clock} clock qubits, expected {n_c}")
-    if 1.0 - clock_zero_mass(state) > 1e-12:
-        raise ClockRegisterNotCleared(
-            "clock register carries population before phase estimation"
+    b_hat: np.ndarray, backend: EvolutionBackend, n_c: int, t: float
+) -> np.ndarray:
+    """Clock-by-data amplitudes after phase estimation of the data state ``b_hat``.
+
+    Row j is (1/M) sum_m exp(-2*pi*i*j*m/M) U^m b_hat: the Krylov sequence
+    U^m b_hat, built by repeated mat-vec, Fourier transformed over m.
+    """
+    if n_c < 1:
+        raise DimensionMismatch(f"phase estimation needs at least one clock qubit, got {n_c}")
+    u = backend.propagator(t)
+    b_hat = np.asarray(b_hat, dtype=np.complex128)
+    if b_hat.shape != (u.shape[0],):
+        raise DimensionMismatch(
+            f"data state of shape {b_hat.shape} does not fit a {u.shape[0]}-dimensional propagator"
         )
-    clock = layout.clock_qubits
-    data = layout.data_qubits
-    for q in clock:
-        apply_unitary(state, HADAMARD, [q])
-    for k in range(n_c):
-        u = backend.propagator(t, 1 << k)
-        apply_unitary(state, u, data, controls=[clock[k]])
-    apply_qft(state, clock, inverse=True)
-    return state
+    _check_unitary(u)
+    backend.charge_ladder(t, n_c)
+    bins = 1 << n_c
+    krylov = np.empty((bins, len(b_hat)), dtype=np.complex128)
+    krylov[0] = b_hat
+    for m in range(1, bins):
+        np.matmul(u, krylov[m - 1], out=krylov[m])
+    return np.fft.fft(krylov, axis=0) / bins
 
 
 def inverse_phase_estimation(
-    state: StateVector, backend: EvolutionBackend, n_c: int, t: float
-) -> StateVector:
-    """Exact adjoint of :func:`phase_estimation` (same backend matrices, conjugated)."""
-    layout = state.layout
-    if layout.n_clock != n_c:
-        raise DimensionMismatch(f"state has {layout.n_clock} clock qubits, expected {n_c}")
-    clock = layout.clock_qubits
-    data = layout.data_qubits
-    apply_qft(state, clock, inverse=False)
-    for k in range(n_c - 1, -1, -1):
-        u = backend.propagator(t, 1 << k)
-        apply_unitary(state, u.conj().T, data, controls=[clock[k]])
-    for q in clock:
-        apply_unitary(state, HADAMARD, [q])
-    return state
+    amplitudes: np.ndarray, backend: EvolutionBackend, n_c: int, t: float
+) -> np.ndarray:
+    """Zero-clock data block after the adjoint of :func:`phase_estimation`.
+
+    For clock-by-data ``amplitudes`` xi this is sum_m U^-m eta_m with
+    eta = inverse FFT of xi over the clock axis. For a normalized input,
+    1 - its squared norm is the mass the uncompute leaves off clock 0.
+    """
+    u = backend.propagator(t)
+    bins = 1 << n_c
+    if amplitudes.shape != (bins, u.shape[0]):
+        raise DimensionMismatch(
+            f"amplitudes of shape {amplitudes.shape}, expected ({bins}, {u.shape[0]}) "
+            f"for {n_c} clock qubits"
+        )
+    backend.charge_ladder(t, n_c)
+    eta = np.fft.ifft(amplitudes, axis=0)
+    u_dagger = u.conj().T
+    block = eta[bins - 1]
+    for m in range(bins - 2, -1, -1):
+        block = u_dagger @ block + eta[m]
+    return block

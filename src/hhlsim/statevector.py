@@ -1,4 +1,4 @@
-"""Dense state-vector simulation engine.
+"""Register layout, its amplitude budget, and state readout.
 
 Conventions (fixed everywhere in this package):
 
@@ -7,12 +7,13 @@ Conventions (fixed everywhere in this package):
 * A register layout is (ancilla, clock, data) from most to least significant:
   data qubits are ``0 .. n_data-1``, clock qubits ``n_data .. n_data+n_clock-1``
   and the single ancilla sits on top. Basis index = a*2^(nc+nd) + m*2^nd + d.
-* For a k-qubit gate matrix, ``targets[i]`` supplies bit ``i`` of the gate's
-  row/column index.
 
-Gates are applied in place by reshaping the amplitude array into a rank-n
-tensor and contracting the target axes; the full 2^n x 2^n operator is never
-materialized (test oracles build it explicitly for cross-checking).
+The solve path never holds the full register: phase estimation works on
+clock-by-data arrays (see :mod:`hhlsim.qpe`), but a solve is still refused
+when its modelled register exceeds ``MAX_QUBITS``. What remains here is the
+unitarity check, marginals, shot sampling and fidelity. The gate-by-gate
+engine the Krylov path is tested against lives with the test oracle
+(``tests/qpe_oracle.py``).
 """
 
 from __future__ import annotations
@@ -26,14 +27,11 @@ from .errors import (
     IndexOverlap,
     NonUnitary,
     RegisterTooLarge,
-    ZeroProbabilityBranch,
     ZeroVector,
 )
 
 # Hard amplitude budget: 2^26 complex doubles = 1 GiB.
 MAX_QUBITS = 26
-
-DEAD_BRANCH_PROBABILITY = 1e-14
 
 
 @dataclass(frozen=True)
@@ -105,13 +103,6 @@ class ShotHistogram:
             raise ValueError("histogram counts do not sum to the shot total")
 
 
-def init_state(layout: RegisterLayout) -> StateVector:
-    """All-zeros computational basis state for the layout."""
-    amps = np.zeros(1 << layout.num_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(layout, amps)
-
-
 def state_from_amplitudes(layout: RegisterLayout, amplitudes) -> StateVector:
     amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
     if len(amps) != 1 << layout.num_qubits:
@@ -139,97 +130,6 @@ def _check_unitary(u: np.ndarray, atol: float = 1e-10) -> None:
         err = float(np.max(np.abs(image.conj().T @ image - np.eye(probes.shape[1]))))
     if err > atol:
         raise NonUnitary(f"gate deviates from unitarity by {err:.3e}")
-
-
-def apply_unitary(
-    state: StateVector,
-    u: np.ndarray,
-    targets: list[int],
-    controls: list[int] | None = None,
-) -> StateVector:
-    """Apply a k-qubit unitary to ``targets``, conditioned on all ``controls`` = 1.
-
-    Mutates ``state`` in place and returns it.
-    """
-    controls = list(controls or [])
-    targets = list(targets)
-    n = state.num_qubits
-    k = len(targets)
-    u = np.asarray(u, dtype=np.complex128)
-
-    touched = targets + controls
-    if len(set(touched)) != len(touched):
-        raise IndexOverlap(f"targets {targets} and controls {controls} overlap")
-    if any(q < 0 or q >= n for q in touched):
-        raise IndexOverlap(f"qubit index out of range for {n}-qubit state")
-    if u.shape != (1 << k, 1 << k):
-        raise DimensionMismatch(f"gate shape {u.shape} does not match {k} target qubits")
-    _check_unitary(u)
-
-    # View as rank-n tensor; axis j corresponds to qubit (n-1-j).
-    arr = state.amplitudes.reshape((2,) * n)
-    indexer = [slice(None)] * n
-    for c in controls:
-        indexer[n - 1 - c] = 1
-    sub = arr[tuple(indexer)]
-
-    remaining = [q for q in range(n - 1, -1, -1) if q not in controls]
-    pos = {q: i for i, q in enumerate(remaining)}
-    # Gate bit i lives on targets[i]; order axes MSB-first for the reshape.
-    src = [pos[q] for q in reversed(targets)]
-    moved = np.moveaxis(sub, src, range(k))
-    block = moved.reshape(1 << k, -1)
-    moved[...] = (u @ block).reshape(moved.shape)
-    return state
-
-
-def measure_qubit(state: StateVector, qubit: int):
-    """Projective measurement of one qubit.
-
-    Returns ``(p0, p1, collapsed0, collapsed1)``. A branch whose probability
-    is below ``DEAD_BRANCH_PROBABILITY`` has no normalizable post-measurement
-    state and is returned as ``None``; use :func:`collapse` to get the error
-    instead.
-    """
-    p0, p1 = _branch_probabilities(state, qubit)
-    collapsed = []
-    for outcome, p in ((0, p0), (1, p1)):
-        if p < DEAD_BRANCH_PROBABILITY:
-            collapsed.append(None)
-        else:
-            collapsed.append(_collapse_to(state, qubit, outcome, p))
-    return p0, p1, collapsed[0], collapsed[1]
-
-
-def collapse(state: StateVector, qubit: int, outcome: int) -> tuple[float, StateVector]:
-    """Collapse onto one outcome; returns (probability, renormalized state)."""
-    p0, p1 = _branch_probabilities(state, qubit)
-    p = p1 if outcome else p0
-    if p < DEAD_BRANCH_PROBABILITY:
-        raise ZeroProbabilityBranch(
-            f"outcome {outcome} on qubit {qubit} has probability {p:.3e}"
-        )
-    return p, _collapse_to(state, qubit, outcome, p)
-
-
-def _branch_probabilities(state: StateVector, qubit: int) -> tuple[float, float]:
-    n = state.num_qubits
-    if qubit < 0 or qubit >= n:
-        raise IndexOverlap(f"qubit {qubit} out of range for {n}-qubit state")
-    probs = state.probabilities().reshape((2,) * n)
-    axis = n - 1 - qubit
-    marg = probs.sum(axis=tuple(i for i in range(n) if i != axis))
-    return float(marg[0]), float(marg[1])
-
-
-def _collapse_to(state: StateVector, qubit: int, outcome: int, p: float) -> StateVector:
-    n = state.num_qubits
-    arr = state.amplitudes.reshape((2,) * n)
-    indexer = [slice(None)] * n
-    indexer[n - 1 - qubit] = 1 - outcome
-    new = arr.copy()
-    new[tuple(indexer)] = 0.0
-    return StateVector(state.layout, new.reshape(-1) / np.sqrt(p))
 
 
 def marginal_probabilities(state: StateVector, qubits: list[int]) -> np.ndarray:

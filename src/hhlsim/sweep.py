@@ -7,17 +7,25 @@ Output contract:
   controlled_u_count,elementary_exp_count,wall_time_ms,error
 * ``summary.csv`` - per-cell means/stds recomputable from the row file.
 
-Identical config + base_seed reproduce byte-identical CSVs. Wall-clock timing
-is therefore opt-in (``timing``); with it off the wall_time_ms field is left
-empty. Per-instance failures land in the ``error`` column and never abort the
-sweep. A rerun reuses every cell that already has its full set of rows, so an
-interrupted sweep resumes cell by cell.
+Identical config + base_seed reproduce byte-identical CSVs within one commit
+(a change to the numerics may move float columns in their last digits).
+Wall-clock timing is therefore opt-in (``timing``); with it off the
+wall_time_ms field is left empty. Per-instance failures land in the ``error``
+column and never abort the sweep. A rerun reuses every cell that already has
+its full set of rows with seeds base_seed .. base_seed+repeats-1, so an
+interrupted sweep resumes cell by cell. Both files are replaced atomically
+(written to a temporary file in the same directory, then renamed over the
+old one). When an exception escapes a sweep, ``rows.csv`` is replaced on the
+way out with every cell finished so far, cached or fresh, in config order;
+during a long sweep it is also rewritten after a fresh cell at most once per
+``CHECKPOINT_INTERVAL_S``, so a hard kill loses at most that much work.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -59,6 +67,11 @@ SUMMARY_COLUMNS = [
     "controlled_u_count_mean",
     "elementary_exp_count_mean",
 ]
+
+# A sweep rewrites rows.csv after a fresh cell at most this often, so a hard
+# kill loses at most this much finished work; any exception rewrites it on
+# the way out.
+CHECKPOINT_INTERVAL_S = 1.0
 
 MEAN_FIELDS = [
     "fidelity",
@@ -142,6 +155,17 @@ class SweepConfig:
                         f"N={n} with method '{method.name}' may need {qubits} qubits, "
                         f"over the max_qubits={self.max_qubits} guard"
                     )
+        # Rows are keyed by (family, N, method name) alone, so two cells with
+        # one key would merge into one summary row and never resume.
+        seen = set()
+        for template, size, method in self.cells():
+            key = (template.family, size, method.name)
+            if key in seen:
+                raise ValueError(
+                    f"two cells share the row key {key}; give the templates distinct "
+                    "families or the methods distinct labels"
+                )
+            seen.add(key)
 
     def cells(self) -> list[tuple[FamilyTemplate, int, MethodConfig]]:
         return [
@@ -305,8 +329,8 @@ def _cell_key(row: dict) -> tuple[str, str, str]:
     return (str(row["family"]), str(row["N"]), str(row["method"]))
 
 
-def _load_complete_cells(path: Path, repeats: int) -> dict[tuple, list[dict]]:
-    """Rows of every cell that already has its full repeat count."""
+def _load_complete_cells(path: Path, repeats: int, base_seed: int) -> dict[tuple, list[dict]]:
+    """Rows of every cell that holds exactly the seeds base_seed .. base_seed+repeats-1."""
     if not path.exists():
         return {}
     with path.open(newline="") as fh:
@@ -316,7 +340,27 @@ def _load_complete_cells(path: Path, repeats: int) -> dict[tuple, list[dict]]:
         grouped: dict[tuple, list[dict]] = {}
         for row in reader:
             grouped.setdefault(_cell_key(row), []).append(row)
-    return {key: rows for key, rows in grouped.items() if len(rows) == repeats}
+    seeds = [str(base_seed + i) for i in range(repeats)]
+    return {key: rows for key, rows in grouped.items() if [r["seed"] for r in rows] == seeds}
+
+
+def _replace_csv(path: Path, header: list[str], lines) -> None:
+    """Write a CSV next to ``path`` and rename it over ``path``."""
+    tmp = path.with_name(path.name + ".tmp")
+    with tmp.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(lines)
+    os.replace(tmp, path)
+
+
+def _replace_rows(path: Path, cells: list[list[dict] | None]) -> None:
+    """Rewrite rows.csv with every finished cell, in config order."""
+    _replace_csv(
+        path,
+        ROW_COLUMNS,
+        ([_fmt(row[col]) for col in ROW_COLUMNS] for rows in cells if rows for row in rows),
+    )
 
 
 def run_sweep(config: SweepConfig) -> tuple[Path, Path]:
@@ -327,22 +371,21 @@ def run_sweep(config: SweepConfig) -> tuple[Path, Path]:
     rows_path = out / "rows.csv"
     summary_path = out / "summary.csv"
 
-    cached = _load_complete_cells(rows_path, config.repeats)
-    all_rows: list[dict] = []
-    with rows_path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ROW_COLUMNS)
-        for template, size, method in config.cells():
-            key = (template.family, str(size), method.name)
-            rows = cached.get(key)
-            if rows is None:
-                rows = _run_cell(config, template, size, method)
-            all_rows.extend(rows)
-            for row in rows:
-                writer.writerow([_fmt(row[col]) for col in ROW_COLUMNS])
-            fh.flush()
+    cached = _load_complete_cells(rows_path, config.repeats, config.base_seed)
+    cells = config.cells()
+    finished = [cached.get((t.family, str(size), m.name)) for t, size, m in cells]
+    checkpoint = time.monotonic()
+    try:
+        for i, (template, size, method) in enumerate(cells):
+            if finished[i] is None:
+                finished[i] = _run_cell(config, template, size, method)
+                if time.monotonic() - checkpoint >= CHECKPOINT_INTERVAL_S:
+                    _replace_rows(rows_path, finished)
+                    checkpoint = time.monotonic()
+    finally:
+        _replace_rows(rows_path, finished)
 
-    write_summary(all_rows, summary_path)
+    write_summary([row for rows in finished for row in rows], summary_path)
     return rows_path, summary_path
 
 
@@ -379,11 +422,11 @@ def summarize_rows(rows: list[dict]) -> list[dict]:
 
 
 def write_summary(rows: list[dict], path: Path) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for entry in summarize_rows(rows):
-            writer.writerow([_fmt(entry.get(col)) for col in SUMMARY_COLUMNS])
+    _replace_csv(
+        path,
+        SUMMARY_COLUMNS,
+        ([_fmt(entry.get(col)) for col in SUMMARY_COLUMNS] for entry in summarize_rows(rows)),
+    )
 
 
 # ---------------------------------------------------------------------------

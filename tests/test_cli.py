@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hhlsim import pipeline
 from hhlsim.cli import main
 from hhlsim.linalg import matrix_to_json, vector_to_json
 from hhlsim.sweep import DEMO_MATRIX, DEMO_RHS
@@ -35,6 +36,13 @@ class TestSolve:
         bad.write_text("{not json")
         assert main(["solve", str(bad), str(config_path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_over_budget_clock_is_config_error(self, demo_files, monkeypatch, capsys):
+        problem_path, config_path = demo_files
+        config_path.write_text(json.dumps({"method": "exact", "n_c": 30, "t": 1.0}))
+        monkeypatch.setattr(pipeline, "make_backend", lambda *a, **k: pytest.fail("backend built"))
+        assert main(["solve", str(problem_path), str(config_path)]) == 2
+        assert "qubit budget" in capsys.readouterr().err
 
     def test_missing_file_is_config_error(self, demo_files, tmp_path):
         _, config_path = demo_files

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hhlsim import linalg
 from hhlsim.errors import (
     DimensionMismatch,
     NonHermitian,
@@ -82,6 +83,39 @@ class TestEigendecomposition:
         s2 = hermitian_eigendecomposition(a)
         assert np.array_equal(s1.eigenvectors, s2.eigenvectors)
         np.testing.assert_allclose(s1.reconstruct(), a, atol=1e-10)
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+    def test_degenerate_basis_pinned_to_mass_then_index_order(self, monkeypatch, dense):
+        # Candidates are scanned by descending projection mass, ties by
+        # index; the original sorted() scan is the reference, bit for bit.
+        def by_sorted_key(block):
+            n, k = block.shape
+            mass = np.sum(np.abs(block) ** 2, axis=1)
+            basis = []
+            for i in sorted(range(n), key=lambda i: (-mass[i], i)):
+                cand = block @ block[i, :].conj()
+                for b in basis:
+                    cand -= b * (b.conj() @ cand)
+                nrm = np.linalg.norm(cand)
+                if nrm > 1e-6:
+                    basis.append(cand / nrm)
+                if len(basis) == k:
+                    break
+            return np.column_stack(basis) if len(basis) == k else block
+
+        rng = np.random.default_rng(41)
+        values = rng.integers(1, 9, size=64).astype(float)  # ~8 clusters of ~8
+        if dense:
+            q, _ = np.linalg.qr(rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+            a = (q * values) @ q.conj().T
+            a = (a + a.conj().T) / 2
+        else:
+            a = np.diag(values).astype(complex)
+        fast = hermitian_eigendecomposition(a)
+        monkeypatch.setattr(linalg, "_reorthonormalize_cluster", by_sorted_key)
+        reference = hermitian_eigendecomposition(a)
+        assert np.array_equal(fast.eigenvalues, reference.eigenvalues)
+        assert np.array_equal(fast.eigenvectors, reference.eigenvectors)
 
     def test_non_hermitian_reports_asymmetry(self):
         a = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)

@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hhlsim import pipeline
 from hhlsim.errors import (
+    DimensionMismatch,
     IndefiniteMatrix,
+    RegisterTooLarge,
     ZeroEigenvalueBin,
     ZeroVector,
 )
@@ -18,15 +21,15 @@ from hhlsim.pipeline import (
     config_to_json,
     eigenvalue_inversion,
     expected_outcome_distribution,
-    prepare_b,
     resolve_config,
     result_from_json,
     result_to_json,
     run_hhl,
 )
 from hhlsim.qpe import phase_estimation
-from hhlsim.statevector import RegisterLayout, init_state, marginal_probabilities
+from hhlsim.statevector import RegisterLayout
 from hhlsim.sweep import demo_problem
+from qpe_oracle import init_state, prepare_b
 
 DEMO = np.array([[1.0, -0.5], [-0.5, 1.0]], dtype=complex)
 
@@ -59,47 +62,47 @@ class TestAmplitudeEncoding:
 
 
 class TestEigenvalueInversion:
-    def _post_qpe_state(self, matrix, b, n_c, t):
-        layout = RegisterLayout(n_clock=n_c, n_data=1)
-        state = init_state(layout)
-        prepare_b(state, b)
-        phase_estimation(state, ExactEvolution(hermitian_eigendecomposition(matrix)), n_c, t)
-        return state, layout
+    # eigenvalue_inversion returns the ancilla = 1 branch as clock-by-data
+    # amplitudes; its squared norm is the ancilla-1 probability.
+    def _phased(self, matrix, b, n_c, t):
+        backend = ExactEvolution(hermitian_eigendecomposition(matrix))
+        return phase_estimation(amplitude_encode(b), backend, n_c, t)
 
     def test_bin_equal_to_c_fully_rotates(self):
         # single populated bin at lambda = 1 with C = 1: arcsin(1) = pi/2
-        state, layout = self._post_qpe_state(np.diag([1.0, 1.0]), [1.0, 0.0], 2, 2 * np.pi / 4)
-        eigenvalue_inversion(state, 1.0, 2, 2 * np.pi / 4)
-        probs = marginal_probabilities(state, [layout.ancilla_qubit])
-        assert probs[1] == pytest.approx(1.0, abs=1e-10)
+        phased = self._phased(np.diag([1.0, 1.0]), [1.0, 0.0], 2, 2 * np.pi / 4)
+        rotated = eigenvalue_inversion(phased, 1.0, 2, 2 * np.pi / 4)
+        assert np.sum(np.abs(rotated) ** 2) == pytest.approx(1.0, abs=1e-10)
 
     def test_demo_amplitude_ratio_three_to_one(self):
         # C = 0.5 on eigenvalues (0.5, 1.5): ancilla-1 amplitudes in ratio 3:1
-        state, layout = self._post_qpe_state(DEMO, [1.0, 0.0], 2, np.pi)
-        eigenvalue_inversion(state, 0.5, 2, np.pi)
-        bins = 1 << 2
-        arr = state.amplitudes.reshape(2, bins, 2)
-        amp_low = np.linalg.norm(arr[1, 1, :])  # bin 1 = eigenvalue 0.5 branch
-        amp_high = np.linalg.norm(arr[1, 3, :])  # bin 3 = eigenvalue 1.5 branch
+        phased = self._phased(DEMO, [1.0, 0.0], 2, np.pi)
+        rotated = eigenvalue_inversion(phased, 0.5, 2, np.pi)
+        amp_low = np.linalg.norm(rotated[1])  # bin 1 = eigenvalue 0.5 branch
+        amp_high = np.linalg.norm(rotated[3])  # bin 3 = eigenvalue 1.5 branch
         assert amp_low / amp_high == pytest.approx(3.0, abs=1e-9)
 
     def test_half_ratio_quarter_probability(self):
         # C / lambda = 0.5 on the only populated bin: ancilla-1 mass = 0.25
-        state, layout = self._post_qpe_state(np.diag([2.0, 2.0]), [1.0, 0.0], 2, 2 * np.pi / 4)
-        eigenvalue_inversion(state, 1.0, 2, 2 * np.pi / 4)
-        probs = marginal_probabilities(state, [layout.ancilla_qubit])
-        assert probs[1] == pytest.approx(0.25, abs=1e-10)
+        phased = self._phased(np.diag([2.0, 2.0]), [1.0, 0.0], 2, 2 * np.pi / 4)
+        rotated = eigenvalue_inversion(phased, 1.0, 2, 2 * np.pi / 4)
+        assert np.sum(np.abs(rotated) ** 2) == pytest.approx(0.25, abs=1e-10)
 
     def test_populated_zero_bin_rejected(self):
         # eigenvalue 0 on a populated eigenvector drops mass onto bin 0
-        state, _ = self._post_qpe_state(np.diag([0.0, 2.0]), [1.0, 1.0], 2, 2 * np.pi / 4)
+        phased = self._phased(np.diag([0.0, 2.0]), [1.0, 1.0], 2, 2 * np.pi / 4)
         with pytest.raises(ZeroEigenvalueBin):
-            eigenvalue_inversion(state, 1.0, 2, 2 * np.pi / 4)
+            eigenvalue_inversion(phased, 1.0, 2, 2 * np.pi / 4)
 
     def test_invalid_constant(self):
-        state, _ = self._post_qpe_state(np.diag([1.0, 1.0]), [1.0, 0.0], 2, 2 * np.pi / 4)
+        phased = self._phased(np.diag([1.0, 1.0]), [1.0, 0.0], 2, 2 * np.pi / 4)
         with pytest.raises(ValueError):
-            eigenvalue_inversion(state, -0.1, 2, 2 * np.pi / 4)
+            eigenvalue_inversion(phased, -0.1, 2, 2 * np.pi / 4)
+
+    def test_clock_width_mismatch(self):
+        phased = self._phased(np.diag([1.0, 1.0]), [1.0, 0.0], 2, 2 * np.pi / 4)
+        with pytest.raises(DimensionMismatch):
+            eigenvalue_inversion(phased, 1.0, 3, 2 * np.pi / 4)
 
 
 class TestRunHhlDemo:
@@ -183,6 +186,16 @@ class TestRunHhlGeneral:
         with pytest.raises(ZeroEigenvalueBin):
             run_hhl(demo_problem(), HhlConfig(method="exact", n_c=2, t=2 * np.pi))
 
+    def test_register_over_budget_rejected_before_any_build(self, monkeypatch):
+        # 1 + 30 + 1 qubits exceed MAX_QUBITS; unchecked, phase estimation
+        # would allocate a (2^30, 2) array, so building a backend fails the test.
+        def no_backend(*args, **kwargs):
+            raise AssertionError("a backend was built for an over-budget register")
+
+        monkeypatch.setattr(pipeline, "make_backend", no_backend)
+        with pytest.raises(RegisterTooLarge):
+            run_hhl(demo_problem(), HhlConfig(method="exact", n_c=30, t=1.0))
+
     def test_explicit_c_validated(self):
         with pytest.raises(ValueError):
             run_hhl(demo_problem(), HhlConfig(method="exact", C=0.8))  # above lambda_min
@@ -248,6 +261,26 @@ class TestOneSpectrumPerSolve:
         generate(FamilySpec(family, 8, seed=0))
         assert eigh_calls == []
 
+    @pytest.mark.parametrize(
+        "family, structure_calls",
+        [("diagonal", 0), ("dense", 0), ("tridiagonal", 1), ("moderate", 1)],
+    )
+    def test_generation_takes_kappa_from_its_construction(self, monkeypatch, family, structure_calls):
+        # Spectrum-first families already hold their eigenvalues; the
+        # structure-first ones run only the eigvalsh that sizes their shift.
+        calls = []
+        real_eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda a, *r, **k: calls.append(a.shape) or real_eigvalsh(a, *r, **k)
+        )
+        for kappa in (2.0, 20.0):
+            calls.clear()
+            problem = generate(FamilySpec(family, 16, seed=4, kappa_target=kappa))
+            assert len(calls) == structure_calls
+            measured = np.abs(real_eigvalsh(problem.matrix))
+            kappa_measured = measured.max() / measured.min()
+            assert abs(problem.condition_number - kappa_measured) <= 1e-12 * kappa_measured
+
     @pytest.mark.parametrize("method", ["exact", "trotter", "block"])
     def test_one_eigendecomposition_per_solve(self, eigh_calls, method):
         problem = generate(FamilySpec("dense", 8, seed=0))
@@ -303,6 +336,12 @@ class TestSerialization:
         config = config_from_json({"method": "block"})
         assert config.method == "block"
         assert config.shots == 10_000
+
+    def test_config_ignores_unknown_keys(self):
+        # documents written before HhlConfig.epsilon was removed still load
+        doc = dict(config_to_json(HhlConfig(n_c=3, method="trotter")), epsilon=1e-8, extra="x")
+        assert config_from_json(doc) == HhlConfig(n_c=3, method="trotter")
+        assert "epsilon" not in config_to_json(HhlConfig())
 
     def test_result_round_trip(self):
         result = run_hhl(demo_problem(), HhlConfig(method="exact"))

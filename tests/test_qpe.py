@@ -1,24 +1,27 @@
+"""Phase estimation on the Krylov + FFT path, and the gate-level oracle's QFT.
+
+The QFT and clock-readout tests exercise the test-only gate engine in
+``qpe_oracle``; ``tests/test_differential.py`` holds the two engines to each
+other on whole solves.
+"""
+
 import numpy as np
 import pytest
 
-from hhlsim.errors import ClockRegisterNotCleared, DimensionMismatch
+import qpe_oracle
+from hhlsim.errors import DimensionMismatch
 from hhlsim.hamiltonian import ExactEvolution
 from hhlsim.linalg import hermitian_eigendecomposition
-from hhlsim.pipeline import eigenvalue_inversion, prepare_b
-from hhlsim.qpe import (
+from hhlsim.pipeline import amplitude_encode, eigenvalue_inversion
+from hhlsim.qpe import inverse_phase_estimation, phase_estimation
+from hhlsim.statevector import RegisterLayout, state_from_amplitudes
+from qpe_oracle import (
+    ClockRegisterNotCleared,
     apply_qft,
-    clock_zero_mass,
-    inverse_phase_estimation,
-    phase_estimation,
-    qft,
-    read_clock,
-)
-from hhlsim.statevector import (
-    RegisterLayout,
     apply_unitary,
     init_state,
-    marginal_probabilities,
-    state_from_amplitudes,
+    qft,
+    read_clock,
 )
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -26,6 +29,11 @@ H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 def exact_backend(a):
     return ExactEvolution(hermitian_eigendecomposition(a))
+
+
+def clock_distribution(phased):
+    """Clock-bin probabilities of clock-by-data amplitudes."""
+    return np.sum(np.abs(phased) ** 2, axis=1)
 
 
 def random_state(layout, seed):
@@ -86,79 +94,64 @@ class TestPhaseEstimation:
     def test_zero_phase_keeps_clock_clear(self):
         # data |0> is an eigenstate of exp(i*A*t) with eigenvalue exactly
         # representable as bin 0 when A|0> = 0
-        layout = RegisterLayout(n_clock=3, n_data=1)
-        state = init_state(layout)
         backend = exact_backend(np.diag([0.0, 1.0]))
-        phase_estimation(state, backend, 3, t=2 * np.pi / 8)
-        assert clock_zero_mass(state) == pytest.approx(1.0, abs=1e-10)
+        phased = phase_estimation(np.array([1.0, 0.0]), backend, 3, t=2 * np.pi / 8)
+        assert clock_distribution(phased)[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_deterministic_bin(self):
         # A = diag(1, 3), t = 2*pi/8, n_c = 3: eigenstate |1> lands on bin 3
-        layout = RegisterLayout(n_clock=3, n_data=1)
-        state = init_state(layout)
-        prepare_b(state, np.array([0.0, 1.0]))
         backend = exact_backend(np.diag([1.0, 3.0]))
-        t = 2 * np.pi / 8
-        phase_estimation(state, backend, 3, t)
-        estimate = read_clock(state, t)
-        assert estimate.peak_bin == 3
-        assert estimate.clock_distribution[3] == pytest.approx(1.0, abs=1e-10)
-        assert estimate.implied_eigenvalue == pytest.approx(3.0)
+        phased = phase_estimation(np.array([0.0, 1.0]), backend, 3, 2 * np.pi / 8)
+        probs = clock_distribution(phased)
+        assert int(np.argmax(probs)) == 3
+        assert probs[3] == pytest.approx(1.0, abs=1e-10)
+        np.testing.assert_allclose(phased[3], [0.0, 1.0], atol=1e-10)
 
     def test_demo_two_peaks(self):
         # eigenvalues 0.5 and 1.5 with t = pi map to bins 1 and 3; b = (1, 0)
         # splits evenly over both eigenvectors
-        layout = RegisterLayout(n_clock=2, n_data=1)
-        state = init_state(layout)
-        prepare_b(state, np.array([1.0, 0.0]))
         backend = exact_backend(np.array([[1.0, -0.5], [-0.5, 1.0]]))
-        phase_estimation(state, backend, 2, t=np.pi)
-        probs = marginal_probabilities(state, layout.clock_qubits)
-        np.testing.assert_allclose(probs, [0.0, 0.5, 0.0, 0.5], atol=1e-10)
+        phased = phase_estimation(np.array([1.0, 0.0]), backend, 2, t=np.pi)
+        np.testing.assert_allclose(clock_distribution(phased), [0.0, 0.5, 0.0, 0.5], atol=1e-10)
 
     def test_controlled_u_count(self):
         for n_c in range(1, 8):
-            layout = RegisterLayout(n_clock=n_c, n_data=1)
-            state = init_state(layout)
             backend = exact_backend(np.diag([1.0, 2.0]))
-            phase_estimation(state, backend, n_c, t=2 * np.pi / (1 << n_c))
+            phase_estimation(np.array([1.0, 0.0]), backend, n_c, t=2 * np.pi / (1 << n_c))
             assert backend.controlled_u_count == (1 << n_c) - 1
 
     def test_clock_must_start_cleared(self):
+        # the gate-level oracle starts from a full register state; the
+        # Krylov path takes the data state alone and checks its width
         layout = RegisterLayout(n_clock=2, n_data=1)
         state = init_state(layout)
         apply_unitary(state, H, [layout.clock_qubits[0]])
         with pytest.raises(ClockRegisterNotCleared):
-            phase_estimation(state, exact_backend(np.eye(2)), 2, t=1.0)
+            qpe_oracle.phase_estimation(state, exact_backend(np.eye(2)).propagator(1.0), 2)
+        with pytest.raises(DimensionMismatch):
+            phase_estimation(np.ones(4) / 2, exact_backend(np.eye(2)), 2, t=1.0)
+        with pytest.raises(DimensionMismatch):
+            phase_estimation(np.array([1.0, 0.0]), exact_backend(np.eye(2)), 0, t=1.0)
 
     def test_nearest_bin_mass_bound(self):
         # standard guarantee: the closest bin carries at least 4/pi^2
         rng = np.random.default_rng(31)
-        layout = RegisterLayout(n_clock=4, n_data=1)
         for _ in range(20):
             lam = rng.uniform(1.0, 14.0)  # keep the phase inside bins 1..15
-            state = init_state(layout)
-            prepare_b(state, np.array([0.0, 1.0]))
             backend = exact_backend(np.diag([0.0, lam]))
-            t = 2 * np.pi / 16
-            phase_estimation(state, backend, 4, t)
-            probs = marginal_probabilities(state, layout.clock_qubits)
+            phased = phase_estimation(np.array([0.0, 1.0]), backend, 4, 2 * np.pi / 16)
             nearest = int(np.round(lam))
-            assert probs[nearest] >= 4 / np.pi**2 - 1e-9
+            assert clock_distribution(phased)[nearest] >= 4 / np.pi**2 - 1e-9
 
 
 class TestInversePhaseEstimation:
     def test_adjoint_composition_random_states(self):
-        rng = np.random.default_rng(12)
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        a = (a + a.conj().T) / 2
-        backend = exact_backend(a)
         layout = RegisterLayout(n_clock=3, n_data=2)
         for seed in range(5):
             state = random_state(layout, seed)
             original = state.amplitudes.copy()
             # adjoint composition holds for any input, cleared clock or not,
-            # so drive the circuit pair directly
+            # so drive the oracle's circuit pair directly
             apply_qft(state, layout.clock_qubits, inverse=True)
             apply_qft(state, layout.clock_qubits, inverse=False)
             np.testing.assert_allclose(state.amplitudes, original, atol=1e-12)
@@ -167,48 +160,41 @@ class TestInversePhaseEstimation:
         rng = np.random.default_rng(13)
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         a = (a + a.conj().T) / 2 + 3 * np.eye(4)
-        layout = RegisterLayout(n_clock=4, n_data=2)
         backend = exact_backend(a)
-        state = init_state(layout)
-        prepare_b(state, rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        original = state.amplitudes.copy()
+        b_hat = amplitude_encode(rng.standard_normal(4) + 1j * rng.standard_normal(4))
         t = 0.4
-        phase_estimation(state, backend, 4, t)
-        inverse_phase_estimation(state, backend, 4, t)
-        np.testing.assert_allclose(state.amplitudes, original, atol=1e-9)
+        phased = phase_estimation(b_hat, backend, 4, t)
+        np.testing.assert_allclose(inverse_phase_estimation(phased, backend, 4, t), b_hat, atol=1e-9)
+        assert backend.controlled_u_count == 2 * 15
 
     def test_representable_uncompute_clears_clock(self):
-        layout = RegisterLayout(n_clock=3, n_data=1)
-        state = init_state(layout)
-        prepare_b(state, np.array([0.6, 0.8]))
         backend = exact_backend(np.diag([1.0, 3.0]))
         t = 2 * np.pi / 8
-        phase_estimation(state, backend, 3, t)
-        inverse_phase_estimation(state, backend, 3, t)
-        assert clock_zero_mass(state) >= 1.0 - 1e-10
+        phased = phase_estimation(np.array([0.6, 0.8]), backend, 3, t)
+        block = inverse_phase_estimation(phased, backend, 3, t)
+        assert np.linalg.norm(block) ** 2 >= 1.0 - 1e-10
+        with pytest.raises(DimensionMismatch):
+            inverse_phase_estimation(phased, backend, 2, t)
 
     def test_non_representable_leaves_residual(self):
         # off-grid eigenvalues leak over several bins; once the clock-controlled
         # rotation has acted, the uncompute cannot fully disentangle them. The
         # residual is a diagnostic, not an error.
-        layout = RegisterLayout(n_clock=3, n_data=1)
-        state = init_state(layout)
-        prepare_b(state, np.array([0.6, 0.8]))
         backend = exact_backend(np.diag([1.0, np.pi]))
         t = 2 * np.pi / 8
-        phase_estimation(state, backend, 3, t)
-        eigenvalue_inversion(state, 0.9, 3, t, zero_bin_tolerance=0.5)
-        inverse_phase_estimation(state, backend, 3, t)
-        residual = 1.0 - clock_zero_mass(state)
+        phased = phase_estimation(np.array([0.6, 0.8]), backend, 3, t)
+        rotated = eigenvalue_inversion(phased, 0.9, 3, t, zero_bin_tolerance=0.5)
+        block = inverse_phase_estimation(rotated / np.linalg.norm(rotated), backend, 3, t)
+        residual = 1.0 - np.linalg.norm(block) ** 2
         assert residual > 1e-6
 
 
 def test_phase_estimate_fields():
     layout = RegisterLayout(n_clock=2, n_data=1)
     state = init_state(layout)
-    prepare_b(state, np.array([0.0, 1.0]))
+    qpe_oracle.prepare_b(state, np.array([0.0, 1.0]))
     t = 2 * np.pi / 4
-    phase_estimation(state, exact_backend(np.diag([0.0, 2.0])), 2, t)
+    qpe_oracle.phase_estimation(state, exact_backend(np.diag([0.0, 2.0])).propagator(t), 2)
     estimate = read_clock(state, t)
     assert estimate.clock_distribution.sum() == pytest.approx(1.0, abs=1e-10)
     assert estimate.peak_bin == 2

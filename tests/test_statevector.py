@@ -7,20 +7,16 @@ from hhlsim.errors import (
     IndexOverlap,
     NonUnitary,
     RegisterTooLarge,
-    ZeroProbabilityBranch,
 )
 from hhlsim.statevector import (
     RegisterLayout,
     StateVector,
-    apply_unitary,
-    collapse,
     fidelity,
-    init_state,
     marginal_probabilities,
-    measure_qubit,
     sample_counts,
     state_from_amplitudes,
 )
+from qpe_oracle import ZeroProbabilityBranch, apply_unitary, collapse, init_state, measure_qubit
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)

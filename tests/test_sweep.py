@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,78 @@ class TestRunSweep:
         rows_path2, _ = run_sweep(config)
         assert rows_path2.read_bytes() == full
 
+    def test_resume_recomputes_cells_with_other_seeds(self, tmp_path):
+        run_sweep(tiny_config(tmp_path / "out", base_seed=0))
+        rows_path, _ = run_sweep(tiny_config(tmp_path / "out", base_seed=100))
+        rows = read_rows(rows_path)
+        assert len(rows) == 2 * 2 * 3
+        assert [r["seed"] for r in rows] == ["100", "101", "102"] * 4
+        fresh, _ = run_sweep(tiny_config(tmp_path / "fresh", base_seed=100))
+        assert rows_path.read_bytes() == fresh.read_bytes()
+
+    def test_interrupt_keeps_cached_cells_after_the_failing_one(self, tmp_path, monkeypatch):
+        # Cells run family-major: diagonal N=2 is fresh and sits before the
+        # cached N=4 cells of both families.
+        config = tiny_config(tmp_path / "out")
+        cached_path, _ = run_sweep(tiny_config(tmp_path / "out", sizes=[4]))
+        cached = read_rows(cached_path)
+        real_run_cell = sweep._run_cell
+        computed = []
+
+        def interrupted(config, template, size, method):
+            if size == 2:
+                raise KeyboardInterrupt
+            return real_run_cell(config, template, size, method)
+
+        monkeypatch.setattr(sweep, "_run_cell", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(config)
+        assert read_rows(cached_path) == cached
+
+        def counting(config, template, size, method):
+            computed.append((template.family, size))
+            return real_run_cell(config, template, size, method)
+
+        monkeypatch.setattr(sweep, "_run_cell", counting)
+        rows_path, _ = run_sweep(config)
+        assert computed == [("diagonal", 2), ("dense", 2)]
+        fresh, _ = run_sweep(tiny_config(tmp_path / "fresh"))
+        assert rows_path.read_bytes() == fresh.read_bytes()
+
+    def test_interrupt_keeps_cells_finished_before_it(self, tmp_path, monkeypatch):
+        real_run_cell = sweep._run_cell
+
+        def interrupted(config, template, size, method):
+            if template.family == "dense" and size == 4:
+                raise KeyboardInterrupt
+            return real_run_cell(config, template, size, method)
+
+        monkeypatch.setattr(sweep, "_run_cell", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(tiny_config(tmp_path / "out"))
+        rows = read_rows(tmp_path / "out" / "rows.csv")
+        cells = [(r["family"], r["N"]) for r in rows[::3]]
+        assert cells == [("diagonal", "2"), ("diagonal", "4"), ("dense", "2")]
+        assert not (tmp_path / "out" / "rows.csv.tmp").exists()
+
+    def test_checkpoint_holds_cells_finished_before_a_hard_kill(self, tmp_path, monkeypatch):
+        # With a zero interval every fresh cell is checkpointed, so while a
+        # cell runs the file on disk already holds every cell before it.
+        monkeypatch.setattr(sweep, "CHECKPOINT_INTERVAL_S", 0.0)
+        real_run_cell = sweep._run_cell
+        rows_path = tmp_path / "out" / "rows.csv"
+        on_disk = []
+
+        def snapshot(config, template, size, method):
+            rows = read_rows(rows_path) if rows_path.exists() else []
+            on_disk.append([(r["family"], r["N"]) for r in rows[::3]])
+            return real_run_cell(config, template, size, method)
+
+        monkeypatch.setattr(sweep, "_run_cell", snapshot)
+        run_sweep(tiny_config(tmp_path / "out"))
+        done = [("diagonal", "2"), ("diagonal", "4"), ("dense", "2")]
+        assert on_disk == [done[:i] for i in range(4)]
+
     def test_errors_recorded_not_raised(self, tmp_path):
         config = tiny_config(
             tmp_path / "out",
@@ -131,6 +204,31 @@ class TestRunSweep:
     def test_size_validation(self, tmp_path):
         with pytest.raises(ValueError):
             run_sweep(tiny_config(tmp_path / "out", sizes=[3]))
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            (
+                dict(families=[FamilyTemplate("dense", kappa_target=2.0), FamilyTemplate("dense", kappa_target=20.0)]),
+                "('dense', 2, 'exact')",
+            ),
+            (
+                dict(methods=[MethodConfig("block", taylor_k=30), MethodConfig("block", taylor_k=30, n_c=5)]),
+                "('diagonal', 2, 'block-k30')",
+            ),
+        ],
+        ids=["two-templates-of-one-family", "methods-differing-only-in-n_c"],
+    )
+    def test_cells_sharing_a_row_key_rejected(self, tmp_path, overrides, key):
+        config = tiny_config(tmp_path / "out", sizes=[2, 4], **overrides)
+        with pytest.raises(ValueError, match=re.escape(key)):
+            run_sweep(config)
+        assert not (tmp_path / "out").exists()
+
+    def test_distinct_labels_keep_cells_apart(self, tmp_path):
+        methods = [MethodConfig("block", taylor_k=30), MethodConfig("block", taylor_k=30, n_c=5, label="block-k30-nc5")]
+        _, summary_path = run_sweep(tiny_config(tmp_path / "out", sizes=[2], methods=methods, repeats=2))
+        assert [r["instances"] for r in read_rows(summary_path)] == ["2"] * 4
 
     def test_workers_agree_with_serial(self, tmp_path):
         serial = tiny_config(tmp_path / "serial")
