@@ -11,9 +11,9 @@ Three interchangeable ways to realize U:
   normal matrix is its phase, so the backend evaluates p_K on the encoded
   eigenvalues of the spectrum the pipeline already computed and returns
   V diag(p/|p|) V^dagger. ``taylor_exponential(block_encode(A), t)`` builds
-  the same matrix the long way (series of matrix products, SVD) and stays
-  the reference; the doubled unitary is built only on request
-  (``BlockEncoding.unitary``).
+  the same matrix the long way (series of matrix products, Gram-matrix polar
+  factor) and stays the reference; the doubled unitary is built only on
+  request (``BlockEncoding.unitary``).
 
 Phase estimation needs only U: it applies U^m as m mat-vecs. Every backend
 still keeps two cost counters for the modelled circuit, charged per pass of
@@ -275,8 +275,10 @@ def taylor_exponential(
 
     With ``truncation=None`` the order is auto-selected for a 1e-12 remainder
     (capped at K=40). An explicit truncation is validated against ``tolerance``
-    when one is given. The partial sum is projected to the nearest unitary
-    (polar projection), which at most doubles the truncation error.
+    when one is given. The partial sum S is projected to the nearest unitary,
+    its polar factor S (S^dagger S)^(-1/2), which at most doubles the
+    truncation error. The inverse square root comes from ``eigh`` of the Gram
+    matrix S^dagger S, which cannot fail to converge the way an SVD of S can.
     """
     if truncation is None:
         k = select_taylor_truncation(encoding.alpha, t)
@@ -296,8 +298,8 @@ def taylor_exponential(
     for j in range(1, k + 1):
         term = term @ iat / j
         acc = acc + term
-    u_left, _, v_right = np.linalg.svd(acc)
-    return u_left @ v_right
+    w, q = np.linalg.eigh(acc.conj().T @ acc)
+    return acc @ (q / np.sqrt(w)) @ q.conj().T
 
 
 class EvolutionBackend:

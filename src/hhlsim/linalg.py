@@ -59,10 +59,10 @@ class Spectrum:
     """Eigendecomposition of a Hermitian matrix.
 
     ``eigenvalues`` are real and ascending; ``eigenvectors[:, j]`` is the
-    orthonormal eigenvector for ``eigenvalues[j]``. Output is deterministic
-    for identical input: degenerate subspaces are re-orthonormalized against
-    the canonical basis and every column's phase is fixed so that its first
-    significant entry is real positive.
+    orthonormal eigenvector for ``eigenvalues[j]`` (real for a real matrix).
+    The basis inside a degenerate eigenspace is whichever LAPACK returns; no
+    output reads it, since every quantity the solve reports depends only on
+    the eigenspace projectors.
 
     ``run_hhl`` computes one per solve and hands it to ``resolve_config``,
     the representability check and the exact and block backends.
@@ -81,58 +81,15 @@ class Spectrum:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def _canonicalize_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first entry above threshold is real positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        mags = np.abs(col)
-        idx = int(np.argmax(mags > 1e-8 * max(mags.max(), 1e-300)))
-        pivot = col[idx]
-        if abs(pivot) > 0:
-            out[:, j] = col * (abs(pivot) / pivot)
-    return out
-
-
-def _reorthonormalize_cluster(block: np.ndarray) -> np.ndarray:
-    """Deterministic basis for a degenerate eigenspace.
-
-    Projects canonical basis vectors onto the span of ``block`` and
-    Gram-Schmidts them, which removes LAPACK's arbitrary choice of basis
-    inside the cluster. Candidates are tried in order of projection mass
-    (ties broken by index), so the scan stays O(n k^2) instead of sweeping
-    every near-null canonical vector.
-    """
-    k = block.shape[1]
-    mass = np.sum(np.abs(block) ** 2, axis=1)
-    basis: list[np.ndarray] = []
-    for i in np.argsort(-mass, kind="stable"):
-        cand = block @ block[i, :].conj()  # projection of e_i onto the span
-        for b in basis:
-            cand -= b * (b.conj() @ cand)
-        nrm = np.linalg.norm(cand)
-        if nrm > 1e-6:
-            basis.append(cand / nrm)
-        if len(basis) == k:
-            break
-    if len(basis) < k:  # numerically pathological; keep LAPACK's basis
-        return block
-    return np.column_stack(basis)
-
-
 def hermitian_eigendecomposition(a) -> Spectrum:
-    """Eigendecompose a Hermitian matrix with deterministic tie-breaking."""
+    """Eigendecompose a Hermitian matrix with one LAPACK call.
+
+    An exactly real matrix goes to the real ``eigh`` (about twice as fast as
+    the complex one); LAPACK reads one triangle, and ``require_hermitian``
+    has already bounded the asymmetry.
+    """
     a = require_hermitian(a)
-    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
-    scale = max(float(np.max(np.abs(w))), 1e-300)
-    # Group near-equal eigenvalues and fix a basis inside each group.
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > 1e-8 * scale:
-            if i - start > 1:
-                v[:, start:i] = _reorthonormalize_cluster(v[:, start:i])
-            start = i
-    v = _canonicalize_phases(v)
+    w, v = np.linalg.eigh(a if a.imag.any() else a.real)
     return Spectrum(eigenvalues=w, eigenvectors=v)
 
 

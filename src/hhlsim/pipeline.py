@@ -169,16 +169,14 @@ def resolve_config(problem: ProblemInstance, config: HhlConfig, spectrum: Spectr
             f"(bin positions {np.round(positions, 3)}); the problem is mis-scaled"
         )
 
+    lam_bin_min = 2.0 * np.pi * float(np.round(np.min(positions))) / (bins * t)
     c = config.C
     if c is None:
-        lam_bin_min = 2.0 * np.pi * float(np.round(np.min(positions))) / (bins * t)
         c = 0.9 * lam_bin_min
-    else:
-        lam_bin_min = 2.0 * np.pi * float(np.round(np.min(positions))) / (bins * t)
-        if not 0.0 < c <= lam_bin_min * (1.0 + 1e-9):
-            raise ValueError(
-                f"inversion constant C={c} outside (0, {lam_bin_min:.6g}] for the populated bins"
-            )
+    elif not 0.0 < c <= lam_bin_min * (1.0 + 1e-9):
+        raise ValueError(
+            f"inversion constant C={c} outside (0, {lam_bin_min:.6g}] for the populated bins"
+        )
     return replace(config, n_c=n_c, t=t, C=c)
 
 
@@ -192,28 +190,13 @@ def spectrum_is_representable(
 
 
 def amplitude_encode(b) -> np.ndarray:
-    """Exact amplitude encoding of b/||b|| on log2(len(b)) qubits.
-
-    Runs the binary-tree rotation cascade: a uniformly controlled Ry level per
-    qubit carves up the magnitudes, then the phase profile (the net effect of
-    the Rz levels plus a global phase correction) is applied exactly.
-    """
+    """The data-register state b/||b|| on log2(len(b)) qubits."""
     v = np.asarray(b, dtype=np.complex128).reshape(-1)
     norm = np.linalg.norm(v)
     if norm == 0.0:
         raise ZeroVector("cannot encode the zero vector")
-    n = require_power_of_two(len(v))
-    target = v / norm
-    weights = np.abs(target) ** 2
-    mags = np.array([1.0])
-    for level in range(1, n + 1):
-        blocks = weights.reshape(1 << level, -1).sum(axis=1)
-        parents = blocks.reshape(-1, 2).sum(axis=1)
-        safe = np.where(parents > 0.0, parents, 1.0)
-        cos_half = np.sqrt(np.clip(blocks[0::2] / safe, 0.0, 1.0))
-        sin_half = np.sqrt(np.clip(blocks[1::2] / safe, 0.0, 1.0))
-        mags = (mags[:, None] * np.stack([cos_half, sin_half], axis=1)).reshape(-1)
-    return mags * np.exp(1j * np.angle(target))
+    require_power_of_two(len(v))
+    return v / norm
 
 
 def eigenvalue_inversion(

@@ -10,8 +10,8 @@ clock-controlled ancilla rotation, exact collapse onto ancilla = 1 and the
 mirrored uncompute. ``hhlsim`` runs the same algorithm as a Krylov sequence
 plus a clock-axis FFT; the differential tests hold it to this engine. The
 block base U is rebuilt here the long way, as ``taylor_exponential`` of
-``block_encode(A)`` (series of matrix products, SVD polar projection), so the
-backend's evaluation of the series on the spectrum is checked end to end.
+``block_encode(A)`` (series of matrix products, Gram-matrix polar factor), so
+the backend's evaluation of the series on the spectrum is checked end to end.
 Cost counters are tallied here per rung from the backend's parameters, not
 read off the backend.
 """

@@ -317,10 +317,11 @@ class TestBlockHotPath:
         np.testing.assert_allclose(backend.propagator(t), reference, rtol=0, atol=1e-13)
 
     def test_block_solve_where_the_series_svd_does_not_converge(self):
-        # On this instance numpy's SVD of the truncated series (the polar
-        # step of taylor_exponential) raises "SVD did not converge" with
-        # OpenBLAS 0.3.31, so a block solve that took it failed. The phase
-        # of the series on the spectrum needs no SVD.
+        # On this instance numpy's SVD of the truncated series raises "SVD
+        # did not converge" with OpenBLAS 0.3.31, so a polar step taken by
+        # SVD failed. The backend takes the phase of the series on the
+        # spectrum, and the reference takes the polar factor from eigh of
+        # the series' Gram matrix; both must hold here.
         problem = generate(FamilySpec("tridiagonal", 256, seed=45_000_028))
         spectrum = hermitian_eigendecomposition(problem.matrix)
         result = run_hhl(problem, HhlConfig(n_c=7, method="block"))
@@ -328,3 +329,5 @@ class TestBlockHotPath:
         base = BlockEvolution(spectrum).propagator(t)
         np.testing.assert_allclose(base, propagator_from_spectrum(spectrum, t), rtol=0, atol=1e-10)
         assert result.fidelity >= 0.999
+        reference = taylor_exponential(block_encode(problem.matrix), t)
+        np.testing.assert_allclose(reference, base, rtol=0, atol=1e-13)

@@ -13,7 +13,7 @@ from hhlsim.errors import (
 )
 from hhlsim.families import FAMILIES, FamilySpec, generate
 from hhlsim.hamiltonian import ExactEvolution
-from hhlsim.linalg import ProblemInstance, hermitian_eigendecomposition
+from hhlsim.linalg import ProblemInstance, Spectrum, hermitian_eigendecomposition
 from hhlsim.pipeline import (
     HhlConfig,
     amplitude_encode,
@@ -287,6 +287,49 @@ class TestOneSpectrumPerSolve:
         eigh_calls.clear()
         run_hhl(problem, HhlConfig(method=method))
         assert eigh_calls == [(8, 8)]
+
+
+class TestDegenerateBasisInvariance:
+    """No output reads the basis LAPACK picks inside a degenerate eigenspace:
+    each cluster of the spectrum ``run_hhl`` receives is rotated by a seeded
+    random unitary, and the solve must not move."""
+
+    @staticmethod
+    def rotate_clusters(spectrum, rng):
+        w, v = spectrum.eigenvalues, spectrum.eigenvectors.astype(np.complex128)
+        edges = np.flatnonzero(np.diff(w) > 1e-8 * np.max(np.abs(w))) + 1
+        rotated = 0
+        for lo, hi in zip(np.r_[0, edges], np.r_[edges, len(w)]):
+            k = hi - lo
+            if k > 1:
+                q, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+                v[:, lo:hi] = v[:, lo:hi] @ q
+                rotated += 1
+        return Spectrum(eigenvalues=w, eigenvectors=v), rotated
+
+    @pytest.mark.parametrize("method", ["exact", "block", "trotter"])
+    @pytest.mark.parametrize("family", ["diagonal", "dense"])
+    def test_run_hhl_invariant_under_cluster_rotation(self, monkeypatch, family, method):
+        problem = generate(FamilySpec(family, 32, seed=5))
+        config = HhlConfig(method=method)
+        reference = run_hhl(problem, config)
+
+        rng = np.random.default_rng(17)
+        rotated_clusters = []
+
+        def rotated_eigendecomposition(a):
+            spectrum, count = self.rotate_clusters(hermitian_eigendecomposition(a), rng)
+            rotated_clusters.append(count)
+            return spectrum
+
+        monkeypatch.setattr(pipeline, "hermitian_eigendecomposition", rotated_eigendecomposition)
+        result = run_hhl(problem, config)
+        assert rotated_clusters and rotated_clusters[0] > 0  # the spectrum is degenerate
+        assert result.resolved == reference.resolved
+        assert result.cost == reference.cost
+        assert np.max(np.abs(result.solution_amplitudes - reference.solution_amplitudes)) <= 1e-12
+        for field in ("success_probability", "clock_residual", "fidelity", "post_norm"):
+            assert abs(getattr(result, field) - getattr(reference, field)) <= 1e-12
 
 
 class TestExpectedOutcomeDistribution:

@@ -1,5 +1,9 @@
 import csv
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +75,30 @@ class TestRunSweep:
         p2, s2 = run_sweep(tiny_config(tmp_path / "b"))
         assert p1.read_bytes() == p2.read_bytes()
         assert s1.read_bytes() == s2.read_bytes()
+
+    def test_byte_identical_across_processes(self, tmp_path):
+        # The CSV contract rests on LAPACK returning the same bits for the
+        # same input in a fresh interpreter; degenerate spectra (diagonal,
+        # dense) are where its choice of eigenbasis would show.
+        script = (
+            "import sys\n"
+            "from hhlsim.sweep import FamilyTemplate, MethodConfig, SweepConfig, run_sweep\n"
+            "run_sweep(SweepConfig(\n"
+            "    families=[FamilyTemplate('diagonal'), FamilyTemplate('dense')],\n"
+            "    sizes=[8, 16],\n"
+            "    methods=[MethodConfig('exact'), MethodConfig('block')],\n"
+            "    output_dir=sys.argv[1], repeats=2, base_seed=11,\n"
+            "))\n"
+        )
+        src = str(Path(sweep.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outputs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True, timeout=60)
+            outputs.append(((out / "rows.csv").read_bytes(), (out / "summary.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][0].splitlines()) == 1 + 2 * 2 * 2 * 2
 
     def test_resume_reuses_complete_cells(self, tmp_path):
         config = tiny_config(tmp_path / "out")
