@@ -4,7 +4,11 @@ Three interchangeable ways to realize U:
 
 * ``exact``   - V e^{i*lambda*t} V^dagger from the eigendecomposition;
 * ``trotter`` - product formula over the Pauli decomposition of A, ``steps``
-  repetitions of one step of size t/steps;
+  repetitions of one step of size t/steps. Each term is a coefficient and
+  two qubit bit masks, x (X or Y) and z (Y or Z); its word maps |k> to
+  i^popcount(x & z) * (-1)^popcount(k & z) |k ^ x>, so a factor
+  exp(i*theta*P) is a row permutation and a sign, and no word string is
+  built or parsed on the decomposition or the step build;
 * ``block``   - the truncated Taylor series p_K(i*A*t) of the block-encoded
   A = alpha * (A/alpha), projected to the nearest unitary. A polynomial in a
   Hermitian matrix is diagonal in its eigenbasis and the polar factor of a
@@ -54,96 +58,90 @@ def pauli_word_matrix(word: str) -> np.ndarray:
     return reduce(np.kron, [PAULI_MATRICES[ch] for ch in word])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PauliTermList:
-    """Real-weighted Pauli words whose sum reconstructs a Hermitian matrix."""
+    """Real-weighted Pauli words whose sum reconstructs a Hermitian matrix.
 
-    terms: tuple[tuple[float, str], ...]
+    Term j is ``coefficients[j]`` times the word with bit masks
+    ``xmasks[j]`` and ``zmasks[j]``: bit q of a mask is qubit q (the word's
+    letter at position n-1-q), set in x for X and Y and in z for Y and Z.
+    The word maps |k> to i^popcount(x & z) * (-1)^popcount(k & z) |k ^ x>.
+    Terms are in lexicographic word order.
+    """
+
+    coefficients: np.ndarray
+    xmasks: np.ndarray
+    zmasks: np.ndarray
     num_qubits: int
 
     @property
     def term_count(self) -> int:
-        return len(self.terms)
+        return len(self.coefficients)
+
+    @property
+    def terms(self) -> tuple[tuple[float, str], ...]:
+        """``(coefficient, word)`` pairs; word[0] acts on the top qubit."""
+        qubits = range(self.num_qubits - 1, -1, -1)
+        return tuple(
+            (coeff, "".join("IXZY"[(x >> q & 1) | (z >> q & 1) << 1] for q in qubits))
+            for coeff, x, z in zip(
+                self.coefficients.tolist(), self.xmasks.tolist(), self.zmasks.tolist()
+            )
+        )
 
     def reconstruct(self) -> np.ndarray:
         dim = 1 << self.num_qubits
+        flips, signs = _mask_tables(dim)
+        cols = np.arange(dim)
         out = np.zeros((dim, dim), dtype=np.complex128)
-        for coeff, word in self.terms:
-            perm, phases = _word_action(word)
-            out[perm, np.arange(dim)] += coeff * phases
+        for coeff, x, z in zip(
+            self.coefficients.tolist(), self.xmasks.tolist(), self.zmasks.tolist()
+        ):
+            out[flips[x], cols] += coeff * 1j ** (x & z).bit_count() * signs[z]
         return out
+
+
+def _mask_tables(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``flips[x] = k ^ x`` and ``signs[z] = (-1)^popcount(k & z)`` for k < dim."""
+    idx = np.arange(dim)
+    flips = idx[:, None] ^ idx
+    signs = np.where(np.bitwise_count(idx[:, None] & idx) & 1, -1.0, 1.0)
+    return flips, signs
 
 
 def pauli_decompose(a) -> PauliTermList:
     """Expand a Hermitian matrix over Pauli words (lexicographic order).
 
-    Uses the recursive 2x2-block reduction, pruning all-zero blocks, so sparse
-    structure costs far less than the naive 4^n trace evaluation. Terms with
-    |coefficient| <= 1e-12 are dropped.
+    Tensorized decomposition: with the top qubit first, each qubit's
+    (row, column) pair of 2x2 blocks maps to its I, X, Y and Z parts, so the
+    n maps leave the 4^n coefficients in base-4 word order (I, X, Y, Z =
+    0..3, top qubit most significant). Terms with |coefficient| <= 1e-12 are
+    dropped.
     """
     a = require_hermitian(a)
     n = require_power_of_two(a.shape[0])
     if n < 1:
         raise NonPowerOfTwoDimension("Pauli decomposition needs dimension >= 2")
-    found: list[tuple[str, complex]] = []
-    _decompose_block(a, "", found)
-    terms = []
-    for word, coeff in found:
-        if abs(coeff) <= COEFFICIENT_CUTOFF:
-            continue
+    coeffs = a.reshape(1, a.shape[0], a.shape[0])
+    for _ in range(n):
+        words, half = coeffs.shape[0], coeffs.shape[1] // 2
+        blocks = coeffs.reshape(words, 2, half, 2, half)
+        b00, b01 = blocks[:, 0, :, 0], blocks[:, 0, :, 1]
+        b10, b11 = blocks[:, 1, :, 0], blocks[:, 1, :, 1]
+        children = ((b00 + b11) / 2.0, (b01 + b10) / 2.0, 1j * (b01 - b10) / 2.0, (b00 - b11) / 2.0)
+        coeffs = np.stack(children, axis=1).reshape(4 * words, half, half)
+    coeffs = coeffs.reshape(-1)
+    kept = np.flatnonzero(np.abs(coeffs) > COEFFICIENT_CUTOFF)
+    # Base-4 digit q of a word index is qubit q's letter: I, X, Y, Z = 0..3.
+    digits = (kept[:, None] >> 2 * np.arange(n)) & 3
+    bits = 1 << np.arange(n)
+    return PauliTermList(
         # Hermitian input guarantees real weights; imaginary dust is roundoff.
-        terms.append((float(coeff.real), word))
-    return PauliTermList(terms=tuple(terms), num_qubits=n)
-
-
-def _decompose_block(block: np.ndarray, prefix: str, out: list) -> None:
-    if block.shape[0] == 1:
-        out.append((prefix, complex(block[0, 0])))
-        return
-    h = block.shape[0] // 2
-    b00, b01 = block[:h, :h], block[:h, h:]
-    b10, b11 = block[h:, :h], block[h:, h:]
-    children = (
-        ("I", (b00 + b11) / 2.0),
-        ("X", (b01 + b10) / 2.0),
-        ("Y", 1j * (b01 - b10) / 2.0),
-        ("Z", (b00 - b11) / 2.0),
+        coefficients=coeffs[kept].real,
+        xmasks=((digits ^ digits >> 1) & 1) @ bits,
+        zmasks=(digits >> 1) @ bits,
+        num_qubits=n,
     )
-    for letter, child in children:
-        if np.max(np.abs(child)) <= 1e-13:
-            continue
-        _decompose_block(child, prefix + letter, out)
-
-
-def _word_action(word: str) -> tuple[np.ndarray, np.ndarray]:
-    """Permutation/phase form of a Pauli word: P|k> = phases[k] |k ^ xmask>.
-
-    Returns ``(perm, col_phases)`` with ``perm = arange ^ xmask`` so that a
-    dense P satisfies ``P[perm[k], k] = col_phases[k]``.
-    """
-    n = len(word)
-    xmask = zmask = 0
-    n_y = 0
-    for pos, ch in enumerate(word):
-        qubit = n - 1 - pos
-        if ch in "XY":
-            xmask |= 1 << qubit
-        if ch in "YZ":
-            zmask |= 1 << qubit
-        if ch == "Y":
-            n_y += 1
-    dim = 1 << n
-    idx = np.arange(dim)
-    parity = np.bitwise_count(idx & zmask) & 1
-    phases = (1j**n_y) * np.where(parity, -1.0, 1.0)
-    return idx ^ xmask, phases.astype(np.complex128)
-
-
-def _apply_exp_word_left(m: np.ndarray, word: str, theta: float) -> np.ndarray:
-    """exp(i*theta*P) @ m for a Pauli word P, via cos/sin split (P^2 = I)."""
-    perm, col_phases = _word_action(word)
-    row_phases = col_phases[perm]
-    return math.cos(theta) * m + (1j * math.sin(theta)) * (row_phases[:, None] * m[perm])
 
 
 @dataclass(frozen=True)
@@ -176,19 +174,25 @@ def _trotter_step_matrix(plan: TrotterPlan, h: float) -> np.ndarray:
 
     Order 1 sweeps the terms forward; order 2 (symmetric) sweeps forward at
     h/2 and back at h/2. Factors are written left-to-right and therefore
-    applied to the accumulating matrix in reverse.
+    applied to the accumulating matrix in reverse. Each factor is
+    exp(i*theta*P) = cos(theta) + i*sin(theta)*P (P^2 = I), with P acting on
+    rows: (P m)[r] = phase(r ^ x) * m[r ^ x], read off the mask tables.
     """
-    factors: list[tuple[str, float]] = []
-    forward = [(word, coeff * h) for coeff, word in plan.terms.terms]
-    if plan.order == 1:
-        factors = forward
-    else:
-        half = [(word, angle / 2.0) for word, angle in forward]
-        factors = half + half[::-1]
-    dim = 1 << plan.terms.num_qubits
+    terms = plan.terms
+    angles = terms.coefficients * h
+    sequence = list(range(terms.term_count - 1, -1, -1))
+    if plan.order == 2:
+        angles = angles / 2.0
+        sequence = sequence[::-1] + sequence
+    dim = 1 << terms.num_qubits
+    flips, signs = _mask_tables(dim)
+    xs, zs, thetas = terms.xmasks.tolist(), terms.zmasks.tolist(), angles.tolist()
     m = np.eye(dim, dtype=np.complex128)
-    for word, angle in reversed(factors):
-        m = _apply_exp_word_left(m, word, angle)
+    for j in sequence:
+        x, z, theta = xs[j], zs[j], thetas[j]
+        perm = flips[x]
+        row_phases = 1j ** (x & z).bit_count() * signs[z, perm]
+        m = math.cos(theta) * m + (1j * math.sin(theta)) * (row_phases[:, None] * m[perm])
     return m
 
 

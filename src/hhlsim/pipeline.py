@@ -123,10 +123,17 @@ def _check_positive_definite(spectrum: Spectrum) -> None:
 
 
 def _populated_eigenvalues(problem: ProblemInstance, spectrum: Spectrum) -> np.ndarray:
-    """Eigenvalues whose eigenvectors overlap b/||b|| above the cutoff."""
+    """Eigenvalues of every cluster whose projection of b/||b|| exceeds the cutoff.
+
+    A cluster is the eigenvalues equal after rounding to 12 decimals. Its
+    weight is the norm of b's part in the whole eigenspace, which does not
+    depend on the basis chosen inside a degenerate eigenspace.
+    """
     b_hat = problem.rhs / np.linalg.norm(problem.rhs)
     beta = spectrum.eigenvectors.conj().T @ b_hat
-    return spectrum.eigenvalues[np.abs(beta) > POPULATION_CUTOFF]
+    _, cluster = np.unique(np.round(spectrum.eigenvalues, 12), return_inverse=True)
+    weight = np.sqrt(np.bincount(cluster, weights=np.abs(beta) ** 2))
+    return spectrum.eigenvalues[weight[cluster] > POPULATION_CUTOFF]
 
 
 def resolve_config(problem: ProblemInstance, config: HhlConfig, spectrum: Spectrum) -> HhlConfig:
@@ -143,20 +150,21 @@ def resolve_config(problem: ProblemInstance, config: HhlConfig, spectrum: Spectr
         raise ZeroVector("right-hand side has no overlap with the spectrum")
     lam_max = float(np.max(lam_pop))
 
-    n_c = config.n_c
-    if n_c is None:
-        for width in range(1, MAX_AUTO_CLOCK + 1):
-            if _grid_scale(lam_pop, 1 << width) is not None:
-                n_c = width
-                break
-        else:
-            n_c = 6
+    # One grid search at the widest clock allowed: a smaller clock fits the
+    # same Delta or none, so n_c and t are read off that one Delta.
+    n_c, t = config.n_c, config.t
+    delta = None
+    if n_c is None or t is None:
+        delta = _grid_scale(lam_pop, 1 << (MAX_AUTO_CLOCK if n_c is None else n_c))
 
-    t = config.t
+    def fits(width: int) -> bool:
+        return delta is not None and lam_max / delta <= (1 << width) - 1 + 1e-9
+
+    if n_c is None:
+        n_c = next((width for width in range(1, MAX_AUTO_CLOCK + 1) if fits(width)), 6)
     if t is None:
         bins = 1 << n_c
-        delta = _grid_scale(lam_pop, bins)
-        if delta is not None:
+        if fits(n_c):
             t = 2.0 * np.pi / (bins * delta)
         else:
             t = 2.0 * np.pi * (bins - 1) / (bins * lam_max)

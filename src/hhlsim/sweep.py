@@ -136,7 +136,6 @@ class SweepConfig:
     base_seed: int = 0
     workers: int = 1
     max_qubits: int = 26
-    cell_timeout_s: float = 600.0
     timing: bool = False
 
     def validate(self) -> None:
@@ -205,7 +204,6 @@ def sweep_config_to_json(config: SweepConfig) -> dict:
         "base_seed": config.base_seed,
         "workers": config.workers,
         "max_qubits": config.max_qubits,
-        "cell_timeout_s": config.cell_timeout_s,
         "timing": config.timing,
     }
 
@@ -241,7 +239,6 @@ def sweep_config_from_json(doc: dict) -> SweepConfig:
         base_seed=doc.get("base_seed", 0),
         workers=doc.get("workers", 1),
         max_qubits=doc.get("max_qubits", 26),
-        cell_timeout_s=doc.get("cell_timeout_s", 600.0),
         timing=doc.get("timing", False),
     )
 
@@ -299,30 +296,14 @@ def _run_instance(
 
 def _run_cell(config: SweepConfig, template: FamilyTemplate, size: int, method: MethodConfig) -> list[dict]:
     seeds = [config.base_seed + i for i in range(config.repeats)]
-    deadline = time.monotonic() + config.cell_timeout_s
 
     def runner(seed: int) -> dict:
         return _run_instance(template, size, method, seed, config.shots, config.timing)
 
-    rows: list[dict] = []
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(runner, seeds))
-    else:
-        for seed in seeds:
-            if time.monotonic() > deadline:
-                row = {col: None for col in ROW_COLUMNS}
-                row.update(
-                    family=template.family,
-                    N=size,
-                    method=method.name,
-                    seed=seed,
-                    error="cell timeout exceeded",
-                )
-                rows.append(row)
-                continue
-            rows.append(runner(seed))
-    return rows
+            return list(pool.map(runner, seeds))
+    return [runner(seed) for seed in seeds]
 
 
 def _cell_key(row: dict) -> tuple[str, str, str]:

@@ -1,5 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hhlsim.families import FamilySpec, generate
 from hhlsim.errors import (
@@ -10,8 +15,8 @@ from hhlsim.errors import (
 from hhlsim.hamiltonian import (
     BlockEvolution,
     ExactEvolution,
+    PauliTermList,
     TrotterEvolution,
-    _word_action,
     block_encode,
     make_trotter_plan,
     pauli_decompose,
@@ -61,12 +66,45 @@ class TestPauliDecompose:
             np.testing.assert_allclose(pauli_decompose(a).reconstruct(), a, atol=1e-10)
 
     def test_word_action_matches_kron(self):
+        # the column action (reconstruct) and the row action (one Trotter
+        # factor, exp(i*theta*P) = cos + i*sin*P) both read the masks
+        theta = 0.3
         for word in ("X", "Y", "Z", "XZ", "YY", "IXY", "ZIY"):
-            dim = 1 << len(word)
-            perm, phases = _word_action(word)
-            dense = np.zeros((dim, dim), dtype=complex)
-            dense[perm, np.arange(dim)] = phases
-            np.testing.assert_allclose(dense, pauli_word_matrix(word), atol=1e-14)
+            dense = pauli_word_matrix(word)
+            terms = pauli_decompose(dense)
+            assert terms.terms == ((1.0, word),)
+            np.testing.assert_allclose(terms.reconstruct(), dense, atol=1e-14)
+            step = trotter_unitary(make_trotter_plan(terms, steps=1, order=1), theta)
+            expected = math.cos(theta) * np.eye(len(dense)) + 1j * math.sin(theta) * dense
+            np.testing.assert_allclose(step, expected, atol=1e-14)
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_coefficients_are_normalized_traces(self, dim):
+        a = random_hermitian(dim, seed=dim)
+        n = dim.bit_length() - 1
+        expected = {
+            "".join(word): np.trace(pauli_word_matrix("".join(word)) @ a).real / dim
+            for word in itertools.product("IXYZ", repeat=n)
+        }
+        found = {word: coeff for coeff, word in pauli_decompose(a).terms}
+        assert set(found) == {w for w, c in expected.items() if abs(c) > 1e-12}
+        for word, coeff in found.items():
+            assert coeff == pytest.approx(expected[word], abs=1e-13)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), sparsity=st.floats(0.0, 0.9))
+    def test_mask_round_trip_property(self, n, seed, sparsity):
+        rng = np.random.default_rng(seed)
+        a = random_hermitian(1 << n, seed)
+        a[rng.random(a.shape) < sparsity] = 0.0
+        a = (a + a.conj().T) / 2
+        terms = pauli_decompose(a)
+        np.testing.assert_allclose(terms.reconstruct(), a, atol=1e-12)
+        words = [w for _, w in terms.terms]
+        assert words == sorted(words)
+        for (_, word), x, z in zip(terms.terms, terms.xmasks.tolist(), terms.zmasks.tolist()):
+            single = PauliTermList(np.ones(1), np.array([x]), np.array([z]), n)
+            np.testing.assert_allclose(single.reconstruct(), pauli_word_matrix(word), atol=1e-15)
 
     def test_sparse_input_has_few_terms(self):
         a = np.diag(np.arange(1.0, 17.0))

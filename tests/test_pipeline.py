@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -368,6 +370,22 @@ class TestConfigResolution:
         assert resolved.n_c == 6
         lam_max = float(np.max(spectrum.eigenvalues))
         assert resolved.t == pytest.approx(2 * np.pi * 63 / (64 * lam_max))
+
+
+    def test_populated_set_depends_on_cluster_mass_not_basis(self):
+        # spectrum {1, 1, 2, 3}: the eigenvalue-1 cluster carries b-weight
+        # 1.27e-12 > 1e-12 whether it sits on one eigenvector or is split
+        # below the cutoff over both, so the populated set and C agree
+        a = np.diag([1.0, 1.0, 2.0, 3.0])
+        spectrum = hermitian_eigendecomposition(a)
+        split = [0.9e-12, 0.9e-12, 0.6, 0.8]
+        rotated = [math.hypot(0.9e-12, 0.9e-12), 0.0, 0.6, 0.8]
+        resolved = [
+            resolve_config(ProblemInstance.from_arrays(a, b), HhlConfig(), spectrum)
+            for b in (split, rotated)
+        ]
+        assert resolved[0] == resolved[1]
+        assert resolved[0].C == pytest.approx(0.9)
 
 
 class TestSerialization:

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import os
 import re
 import subprocess
@@ -287,6 +288,13 @@ class TestSweepConfigJson:
         assert config.timing is False
 
 
+    def test_document_with_a_removed_key_loads(self):
+        # sweep documents written while SweepConfig had cell_timeout_s still load
+        doc = dict(sweep_config_to_json(tiny_config("x")), cell_timeout_s=600.0)
+        assert sweep_config_from_json(doc) == tiny_config("x")
+        assert "cell_timeout_s" not in sweep_config_to_json(tiny_config("x"))
+
+
 class TestEq3Experiment:
     def test_outputs_and_statistics(self, tmp_path):
         summary = run_eq3_experiment(tmp_path / "eq3", repeats=20, shots=10_000, seed=0)
@@ -307,3 +315,29 @@ class TestEq3Experiment:
         s1 = run_eq3_experiment(tmp_path / "a", repeats=2, shots=1000, seed=0)
         s2 = run_eq3_experiment(tmp_path / "b", repeats=2, shots=1000, seed=99)
         assert s1.counts_csv.read_bytes() != s2.counts_csv.read_bytes()
+
+
+class TestSweepParityTool:
+    @staticmethod
+    def compare_csv():
+        path = Path(__file__).resolve().parents[1] / "tools" / "sweep_parity.py"
+        spec = importlib.util.spec_from_file_location("sweep_parity", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.compare_csv
+
+    def test_float_drift_is_measured_and_exact_columns_must_match(self, tmp_path):
+        compare = self.compare_csv()
+        header = "family,N,fidelity,error\n"
+        files = {
+            "base": "dense,8,0.5,\n",
+            "drift": "dense,8,0.50000001,\n",
+            "other": "dense,16,0.5,ValueError: x\n",
+        }
+        for name, row in files.items():
+            (tmp_path / name).write_text(header + row)
+        assert compare(tmp_path / "base", tmp_path / "base") == (True, {"fidelity": 0.0}, [])
+        identical, diffs, mismatched = compare(tmp_path / "base", tmp_path / "drift")
+        assert not identical and mismatched == []
+        assert diffs["fidelity"] == pytest.approx(1e-8)
+        assert compare(tmp_path / "base", tmp_path / "other")[2] == ["N", "error"]
