@@ -19,11 +19,11 @@ Three interchangeable ways to realize U:
   factor) and stays the reference; the doubled unitary is built only on
   request (``BlockEncoding.unitary``).
 
-Phase estimation needs only U: it applies U^m as m mat-vecs. Every backend
-still keeps two cost counters for the modelled circuit, charged per pass of
-the controlled-U^(2^k) ladder: ``controlled_u_count`` (applications of U,
-sum_k 2^k per pass) and ``elementary_exp_count`` (the elementary exponential
-factors those applications would spend).
+A backend holds no state past its construction. It answers two questions:
+``propagator(t)`` builds U, and ``exponentials_per_application(t)`` is the
+number of elementary exponential factors one application of U spends in the
+modelled circuit. Phase estimation needs only U (it applies U^m as m
+mat-vecs); the pipeline turns the second answer into the solve's cost.
 """
 
 from __future__ import annotations
@@ -307,56 +307,28 @@ def taylor_exponential(
 
 
 class EvolutionBackend:
-    """Base propagator cache and ladder cost bookkeeping."""
-
-    method = "abstract"
-
-    def __init__(self):
-        self.controlled_u_count = 0
-        self.elementary_exp_count = 0
-        self._bases: dict[float, np.ndarray] = {}
-
-    def reset_counters(self) -> None:
-        self.controlled_u_count = 0
-        self.elementary_exp_count = 0
+    """How a solve builds U = exp(i*A*t), and what one application costs."""
 
     def propagator(self, t: float) -> np.ndarray:
-        """U = exp(i*A*t), built once per t."""
-        base = self._bases.get(t)
-        if base is None:
-            base = self._bases[t] = self._propagator(t)
-        return base
-
-    def charge_ladder(self, t: float, n_c: int) -> None:
-        """Charge one pass of the controlled-U^(2^k) ladder, k = 0 .. n_c-1."""
-        if n_c < 1:
-            raise ValueError(f"a ladder needs at least one rung, got n_c={n_c}")
-        applications = (1 << n_c) - 1  # sum of the rungs 2^k
-        self.controlled_u_count += applications
-        self.elementary_exp_count += applications * self._exp_cost(t)
-
-    def _exp_cost(self, t: float) -> int:
-        """Elementary exponentials per application of U."""
+        """U = exp(i*A*t)."""
         raise NotImplementedError
 
-    def _propagator(self, t: float) -> np.ndarray:
+    def exponentials_per_application(self, t: float) -> int:
+        """Elementary exponentials one application of U spends."""
         raise NotImplementedError
 
 
 class ExactEvolution(EvolutionBackend):
     """exp(i*A*t) straight from the eigendecomposition."""
 
-    method = "exact"
-
     def __init__(self, spectrum: Spectrum):
-        super().__init__()
         self.spectrum = spectrum
 
-    def _exp_cost(self, t: float) -> int:
-        return 1
-
-    def _propagator(self, t: float) -> np.ndarray:
+    def propagator(self, t: float) -> np.ndarray:
         return propagator_from_spectrum(self.spectrum, t)
+
+    def exponentials_per_application(self, t: float) -> int:
+        return 1
 
 
 class TrotterEvolution(EvolutionBackend):
@@ -366,18 +338,15 @@ class TrotterEvolution(EvolutionBackend):
     circuit spends steps * factors_per_step elementary exponentials per U.
     """
 
-    method = "trotter"
-
     def __init__(self, a, steps: int = 8, order: int = 2):
-        super().__init__()
         self.plan = make_trotter_plan(a, steps, order)
         self.terms = self.plan.terms
 
-    def _exp_cost(self, t: float) -> int:
-        return self.plan.steps * self.plan.factors_per_step
-
-    def _propagator(self, t: float) -> np.ndarray:
+    def propagator(self, t: float) -> np.ndarray:
         return trotter_unitary(self.plan, t)
+
+    def exponentials_per_application(self, t: float) -> int:
+        return self.plan.steps * self.plan.factors_per_step
 
 
 class BlockEvolution(EvolutionBackend):
@@ -390,29 +359,26 @@ class BlockEvolution(EvolutionBackend):
     eigenvalues alpha * (lambda/alpha) rather than on the matrix.
     """
 
-    method = "block"
-
     def __init__(self, spectrum: Spectrum, truncation: int | None = None):
-        super().__init__()
         self.encoding = BlockEncoding.from_spectrum(spectrum)
         self.truncation = truncation
 
-    def _exp_cost(self, t: float) -> int:
-        """Series order K, which is also the cost of one application of U."""
-        if self.truncation is not None:
-            return self.truncation
-        return select_taylor_truncation(self.encoding.alpha, t)
-
-    def _propagator(self, t: float) -> np.ndarray:
+    def propagator(self, t: float) -> np.ndarray:
         spectrum, alpha = self.encoding.spectrum, self.encoding.alpha
         x = 1j * t * (alpha * (spectrum.eigenvalues / alpha))
         acc = np.ones_like(x)
         term = np.ones_like(x)
-        for j in range(1, self._exp_cost(t) + 1):
+        for j in range(1, self.exponentials_per_application(t) + 1):
             term = term * x / j
             acc = acc + term
         v = spectrum.eigenvectors
         return (v * (acc / np.abs(acc))) @ v.conj().T
+
+    def exponentials_per_application(self, t: float) -> int:
+        """Series order K, which is also the cost of one application of U."""
+        if self.truncation is not None:
+            return self.truncation
+        return select_taylor_truncation(self.encoding.alpha, t)
 
 
 def make_backend(

@@ -8,19 +8,25 @@ post-select ancilla = 1, uncompute the clock, and read the solution
 amplitudes off the zero-clock data block.
 
 The state is held as (clock, data) blocks, never as the full
-ancilla-clock-data register. Phase estimation and its uncompute each apply
-one base propagator U = exp(i*A*t) as a Krylov sequence of mat-vecs plus an
-FFT along the clock axis (see :mod:`hhlsim.qpe`). The rotation's ancilla = 1
-branch is the clock-by-data array scaled bin by bin, and post-selection
-keeps exactly that branch, renormalized by its squared norm (the success
-probability). Reported fidelities therefore measure algorithmic error only;
-shot noise enters solely through histogram sampling on the final state.
+ancilla-clock-data register. The solve builds one base propagator
+U = exp(i*A*t); phase estimation and its uncompute each apply it as a Krylov
+sequence of mat-vecs plus an FFT along the clock axis (see
+:mod:`hhlsim.qpe`). The rotation's ancilla = 1 branch is the clock-by-data
+array scaled bin by bin, and post-selection keeps exactly that branch,
+renormalized by its squared norm (the success probability). Reported
+fidelities therefore measure algorithmic error only; shot noise enters
+solely through histogram sampling on the final state.
+
+The reported cost is that of the modelled circuit, in closed form: each
+pass is a ladder of 2^n_c - 1 applications of U, and each application
+spends the backend's ``exponentials_per_application`` elementary
+exponentials.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -51,8 +57,8 @@ POPULATION_CUTOFF = 1e-12
 class HhlConfig:
     """Run parameters; fields left as None are resolved from the spectrum.
 
-    ``seed`` feeds histogram sampling only (the pipeline itself is
-    deterministic).
+    No solve reads ``shots`` or ``seed``: they are only serialized, and stay
+    because existing callers still pass them.
     """
 
     n_c: int | None = None
@@ -244,12 +250,14 @@ def eigenvalue_inversion(
 
 def run_hhl(problem: ProblemInstance, config: HhlConfig) -> HhlResult:
     """Execute the full pipeline and score the solution against the direct solve."""
+    # The clock-by-data arrays hold half the modelled register; refuse a
+    # register over the amplitude budget, at the widest clock the config
+    # allows, before the spectrum or anything else is built.
+    widest_clock = MAX_AUTO_CLOCK if config.n_c is None else config.n_c
+    RegisterLayout(n_clock=widest_clock, n_data=require_power_of_two(problem.dim))
     spectrum = hermitian_eigendecomposition(problem.matrix)
     resolved = resolve_config(problem, config, spectrum)
     n_c, t, c = resolved.n_c, resolved.t, resolved.C
-    # The clock-by-data arrays hold half the modelled register; refuse a
-    # register over the amplitude budget before anything is built.
-    RegisterLayout(n_clock=n_c, n_data=require_power_of_two(problem.dim))
     representable = spectrum_is_representable(problem, n_c, t, spectrum)
 
     backend = make_backend(
@@ -260,7 +268,8 @@ def run_hhl(problem: ProblemInstance, config: HhlConfig) -> HhlResult:
         trotter_order=resolved.trotter_order,
         taylor_k=resolved.taylor_k,
     )
-    phased = phase_estimation(amplitude_encode(problem.rhs), backend, n_c, t)
+    u = backend.propagator(t)
+    phased = phase_estimation(amplitude_encode(problem.rhs), u, n_c)
     # Only the exact backend on an on-grid spectrum is guaranteed to leave
     # bin 0 empty; off-grid spectra and approximate propagators leak a little
     # mass everywhere, so only a gross population (a genuinely mis-scaled
@@ -274,7 +283,7 @@ def run_hhl(problem: ProblemInstance, config: HhlConfig) -> HhlResult:
         raise PostSelectionImpossible(
             f"ancilla success probability {success:.3e} below 1e-12"
         )
-    solution = inverse_phase_estimation(rotated / math.sqrt(success), backend, n_c, t)
+    solution = inverse_phase_estimation(rotated / math.sqrt(success), u, n_c)
     solution_norm = float(np.linalg.norm(solution))
     clock_residual = 1.0 - solution_norm**2
     if solution_norm < 1e-12:
@@ -285,16 +294,17 @@ def run_hhl(problem: ProblemInstance, config: HhlConfig) -> HhlResult:
     x_exact /= np.linalg.norm(x_exact)
     fid = fidelity(solution, x_exact)
 
+    # The modelled circuit runs the controlled-U^(2^k) ladder twice, forward
+    # and to uncompute: 2^n_c - 1 applications of U per pass.
+    applications = 2 * ((1 << n_c) - 1)
+
     return HhlResult(
         solution_amplitudes=solution,
         success_probability=success,
         post_norm=c / math.sqrt(success),
         fidelity=fid,
         clock_residual=max(clock_residual, 0.0),
-        cost=CostCounters(
-            controlled_u_count=backend.controlled_u_count,
-            elementary_exp_count=backend.elementary_exp_count,
-        ),
+        cost=CostCounters(applications, applications * backend.exponentials_per_application(t)),
         resolved=resolved,
     )
 
@@ -309,23 +319,30 @@ def expected_outcome_distribution(problem: ProblemInstance) -> np.ndarray:
 # JSON round trips for problem + config documents and results.
 
 
+def dataclass_from_json(cls, doc: dict, **parsed):
+    """``cls`` from the keys of ``doc`` it has fields for.
+
+    Unknown keys are ignored, so documents that still carry a removed field
+    load; a missing field without a default raises KeyError. ``parsed``
+    gives fields the caller has already converted.
+    """
+    values = {}
+    for f in fields(cls):
+        if f.name in parsed:
+            values[f.name] = parsed[f.name]
+        elif f.name in doc:
+            values[f.name] = doc[f.name]
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise KeyError(f.name)
+    return cls(**values)
+
+
 def config_to_json(config: HhlConfig) -> dict:
-    return {
-        "n_c": config.n_c,
-        "t": config.t,
-        "C": config.C,
-        "method": config.method,
-        "trotter_steps": config.trotter_steps,
-        "trotter_order": config.trotter_order,
-        "taylor_k": config.taylor_k,
-        "shots": config.shots,
-        "seed": config.seed,
-    }
+    return asdict(config)
 
 
 def config_from_json(doc: dict) -> HhlConfig:
-    known = {f: doc[f] for f in config_to_json(HhlConfig()) if f in doc}
-    return HhlConfig(**known)
+    return dataclass_from_json(HhlConfig, doc)
 
 
 def result_to_json(result: HhlResult) -> dict:
@@ -335,10 +352,7 @@ def result_to_json(result: HhlResult) -> dict:
         "post_norm": result.post_norm,
         "fidelity": result.fidelity,
         "clock_residual": result.clock_residual,
-        "cost": {
-            "controlled_u_count": result.cost.controlled_u_count,
-            "elementary_exp_count": result.cost.elementary_exp_count,
-        },
+        "cost": asdict(result.cost),
         "resolved_config": config_to_json(result.resolved),
     }
 
@@ -350,9 +364,6 @@ def result_from_json(doc: dict) -> HhlResult:
         post_norm=doc["post_norm"],
         fidelity=doc["fidelity"],
         clock_residual=doc["clock_residual"],
-        cost=CostCounters(
-            controlled_u_count=doc["cost"]["controlled_u_count"],
-            elementary_exp_count=doc["cost"]["elementary_exp_count"],
-        ),
+        cost=dataclass_from_json(CostCounters, doc["cost"]),
         resolved=config_from_json(doc["resolved_config"]),
     )

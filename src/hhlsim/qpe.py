@@ -11,13 +11,13 @@ quant-ph/9708016), so a forward pass is M - 1 mat-vecs with one base
 propagator plus one FFT. The uncompute mirrors it: an inverse FFT, then the
 zero-clock block sum_m U^-m chi_m as a Horner pass with U^dagger.
 
-The base U is the backend's (:mod:`hhlsim.hamiltonian`), built once per t
-and checked for unitarity once, in the forward pass; no U^(2^k) is formed.
+Both passes take the base matrix U, which the caller builds once per solve;
+the forward pass checks it for unitarity, and no U^(2^k) is formed.
 Clock-by-data states are (2^n_c, N) arrays whose row j is the data block of
-clock bin j. The modelled circuit still spends a controlled U^(2^k) per
-clock qubit k, i.e. 2^n_c - 1 applications of U per pass; the backend
-charges that on its counters. The gate-level circuit this replaces is kept
-as the test oracle ``tests/qpe_oracle.py``.
+clock bin j. Neither pass counts cost: the modelled circuit's ladder of
+controlled U^(2^k), one per clock qubit k, is 2^n_c - 1 applications of U
+per pass in closed form, and the pipeline reports it. The gate-level circuit
+this replaces is kept as the test oracle ``tests/qpe_oracle.py``.
 """
 
 from __future__ import annotations
@@ -25,28 +25,24 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch
-from .hamiltonian import EvolutionBackend
 from .statevector import _check_unitary
 
 
-def phase_estimation(
-    b_hat: np.ndarray, backend: EvolutionBackend, n_c: int, t: float
-) -> np.ndarray:
+def phase_estimation(b_hat: np.ndarray, u: np.ndarray, n_c: int) -> np.ndarray:
     """Clock-by-data amplitudes after phase estimation of the data state ``b_hat``.
 
     Row j is (1/M) sum_m exp(-2*pi*i*j*m/M) U^m b_hat: the Krylov sequence
-    U^m b_hat, built by repeated mat-vec, Fourier transformed over m.
+    U^m b_hat of the base propagator ``u``, built by repeated mat-vec,
+    Fourier transformed over m.
     """
     if n_c < 1:
         raise DimensionMismatch(f"phase estimation needs at least one clock qubit, got {n_c}")
-    u = backend.propagator(t)
     b_hat = np.asarray(b_hat, dtype=np.complex128)
     if b_hat.shape != (u.shape[0],):
         raise DimensionMismatch(
             f"data state of shape {b_hat.shape} does not fit a {u.shape[0]}-dimensional propagator"
         )
     _check_unitary(u)
-    backend.charge_ladder(t, n_c)
     bins = 1 << n_c
     krylov = np.empty((bins, len(b_hat)), dtype=np.complex128)
     krylov[0] = b_hat
@@ -55,23 +51,21 @@ def phase_estimation(
     return np.fft.fft(krylov, axis=0) / bins
 
 
-def inverse_phase_estimation(
-    amplitudes: np.ndarray, backend: EvolutionBackend, n_c: int, t: float
-) -> np.ndarray:
+def inverse_phase_estimation(amplitudes: np.ndarray, u: np.ndarray, n_c: int) -> np.ndarray:
     """Zero-clock data block after the adjoint of :func:`phase_estimation`.
 
     For clock-by-data ``amplitudes`` xi this is sum_m U^-m eta_m with
     eta = inverse FFT of xi over the clock axis. For a normalized input,
     1 - its squared norm is the mass the uncompute leaves off clock 0.
     """
-    u = backend.propagator(t)
+    if n_c < 1:
+        raise DimensionMismatch(f"phase estimation needs at least one clock qubit, got {n_c}")
     bins = 1 << n_c
     if amplitudes.shape != (bins, u.shape[0]):
         raise DimensionMismatch(
             f"amplitudes of shape {amplitudes.shape}, expected ({bins}, {u.shape[0]}) "
             f"for {n_c} clock qubits"
         )
-    backend.charge_ladder(t, n_c)
     eta = np.fft.ifft(amplitudes, axis=0)
     u_dagger = u.conj().T
     block = eta[bins - 1]

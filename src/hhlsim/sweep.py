@@ -28,14 +28,14 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .families import FamilySpec, generate
 from .linalg import ProblemInstance
-from .pipeline import HhlConfig, run_hhl
+from .pipeline import MAX_AUTO_CLOCK, HhlConfig, dataclass_from_json, run_hhl
 from .statevector import RegisterLayout, ShotHistogram, sample_counts, state_from_amplitudes
 
 ROW_COLUMNS = [
@@ -147,7 +147,7 @@ class SweepConfig:
             if n < 2 or (n & (n - 1)) != 0:
                 raise ValueError(f"size {n} is not a power of two >= 2")
             for method in self.methods:
-                worst_clock = method.n_c if method.n_c is not None else 7
+                worst_clock = method.n_c if method.n_c is not None else MAX_AUTO_CLOCK
                 qubits = 1 + worst_clock + (n.bit_length() - 1)
                 if qubits > self.max_qubits:
                     raise ValueError(
@@ -176,70 +176,16 @@ class SweepConfig:
 
 
 def sweep_config_to_json(config: SweepConfig) -> dict:
-    return {
-        "families": [
-            {
-                "family": f.family,
-                "kappa_target": f.kappa_target,
-                "representable": f.representable,
-                "nnz_per_row": f.nnz_per_row,
-            }
-            for f in config.families
-        ],
-        "sizes": list(config.sizes),
-        "methods": [
-            {
-                "method": m.method,
-                "trotter_steps": m.trotter_steps,
-                "trotter_order": m.trotter_order,
-                "taylor_k": m.taylor_k,
-                "n_c": m.n_c,
-                "label": m.label,
-            }
-            for m in config.methods
-        ],
-        "output_dir": config.output_dir,
-        "repeats": config.repeats,
-        "shots": config.shots,
-        "base_seed": config.base_seed,
-        "workers": config.workers,
-        "max_qubits": config.max_qubits,
-        "timing": config.timing,
-    }
+    return asdict(config)
 
 
 def sweep_config_from_json(doc: dict) -> SweepConfig:
-    families = [
-        FamilyTemplate(
-            family=f["family"],
-            kappa_target=f.get("kappa_target", 5.0),
-            representable=f.get("representable"),
-            nnz_per_row=f.get("nnz_per_row"),
-        )
-        for f in doc["families"]
-    ]
-    methods = [
-        MethodConfig(
-            method=m.get("method", "exact"),
-            trotter_steps=m.get("trotter_steps", 8),
-            trotter_order=m.get("trotter_order", 2),
-            taylor_k=m.get("taylor_k"),
-            n_c=m.get("n_c"),
-            label=m.get("label"),
-        )
-        for m in doc["methods"]
-    ]
-    return SweepConfig(
-        families=families,
+    return dataclass_from_json(
+        SweepConfig,
+        doc,
+        families=[dataclass_from_json(FamilyTemplate, f) for f in doc["families"]],
+        methods=[dataclass_from_json(MethodConfig, m) for m in doc["methods"]],
         sizes=[int(n) for n in doc["sizes"]],
-        methods=methods,
-        output_dir=doc["output_dir"],
-        repeats=doc.get("repeats", 50),
-        shots=doc.get("shots", 10_000),
-        base_seed=doc.get("base_seed", 0),
-        workers=doc.get("workers", 1),
-        max_qubits=doc.get("max_qubits", 26),
-        timing=doc.get("timing", False),
     )
 
 

@@ -47,8 +47,8 @@ def test_clock_distribution_matches_gate_level_oracle(family, on_grid):
     n_c, t = oracle.resolved.n_c, oracle.resolved.t
     spectrum = hermitian_eigendecomposition(problem.matrix)
     assert spectrum_is_representable(problem, n_c, t, spectrum) == on_grid
-    backend = make_backend(problem.matrix, spectrum, "exact")
-    phased = phase_estimation(amplitude_encode(problem.rhs), backend, n_c, t)
+    u = make_backend(problem.matrix, spectrum, "exact").propagator(t)
+    phased = phase_estimation(amplitude_encode(problem.rhs), u, n_c)
     distribution = np.sum(np.abs(phased) ** 2, axis=1)
     assert np.max(np.abs(distribution - oracle.clock_distribution)) <= 1e-12
 

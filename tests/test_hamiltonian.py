@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hhlsim.families import FamilySpec, generate
 from hhlsim.errors import (
+    DimensionMismatch,
     NonHermitian,
     NonPowerOfTwoDimension,
     TruncationInsufficient,
@@ -25,9 +26,14 @@ from hhlsim.hamiltonian import (
     taylor_exponential,
     trotter_unitary,
 )
-from hhlsim.linalg import hermitian_eigendecomposition, propagator_from_spectrum, unitary_exponential
+from hhlsim.linalg import (
+    ProblemInstance,
+    hermitian_eigendecomposition,
+    propagator_from_spectrum,
+    unitary_exponential,
+)
 from hhlsim.pipeline import HhlConfig, run_hhl
-from hhlsim.qpe import phase_estimation
+from hhlsim.qpe import inverse_phase_estimation, phase_estimation
 from qpe_oracle import controlled_power
 
 DEMO = np.array([[1.0, -0.5], [-0.5, 1.0]], dtype=complex)
@@ -276,10 +282,15 @@ class TestBackends:
         )
 
     def test_power_zero_rejected(self):
+        # a ladder needs at least one rung: both phase-estimation passes
+        # refuse an empty clock, and the oracle refuses U^0
         spectrum = hermitian_eigendecomposition(DEMO)
         for backend in (ExactEvolution(spectrum), TrotterEvolution(DEMO), BlockEvolution(spectrum)):
-            with pytest.raises(ValueError):
-                backend.charge_ladder(1.0, 0)
+            u = backend.propagator(1.0)
+            with pytest.raises(DimensionMismatch):
+                phase_estimation(np.array([1.0, 0.0]), u, 0)
+            with pytest.raises(DimensionMismatch):
+                inverse_phase_estimation(np.zeros((1, 2), dtype=complex), u, 0)
             with pytest.raises(ValueError):
                 controlled_power(backend, 1.0, 0)
 
@@ -299,12 +310,10 @@ class TestBackends:
 
     def test_block_power_is_composed_base(self):
         # the Krylov sequence inside phase estimation is U^m b for the one
-        # base U, built once: recover it from the clock-axis FFT
-        backend = BlockEvolution(hermitian_eigendecomposition(NONCOMMUTING))
-        base = backend.propagator(0.5)
-        assert backend.propagator(0.5) is base
+        # base U it is handed: recover it from the clock-axis FFT
+        base = BlockEvolution(hermitian_eigendecomposition(NONCOMMUTING)).propagator(0.5)
         b = np.array([0.6, 0.8j])
-        krylov = np.fft.ifft(phase_estimation(b, backend, 3, 0.5) * 8, axis=0)
+        krylov = np.fft.ifft(phase_estimation(b, base, 3) * 8, axis=0)
         for m in range(8):
             np.testing.assert_allclose(krylov[m], np.linalg.matrix_power(base, m) @ b, atol=1e-12)
 
@@ -319,19 +328,40 @@ class TestBackends:
                 assert_unitary(controlled_power(backend, 0.7, power), atol=1e-9)
 
     def test_counters(self):
-        backend = TrotterEvolution(DEMO, steps=4, order=1)
-        backend.charge_ladder(1.0, 2)  # rungs U^1 and U^2
-        assert backend.controlled_u_count == 3
-        # 2 terms (I, X) per step, 4 steps per unit power, 3 units of power
-        assert backend.elementary_exp_count == 3 * 4 * 2
-        backend.reset_counters()
-        assert backend.controlled_u_count == 0
+        # n_c = 2 runs rungs U^1 and U^2 forward and again to uncompute;
+        # 2 terms (I, X) per step, 4 steps per application of U
+        problem = ProblemInstance.from_arrays(DEMO, np.array([1.0, 0.0]))
+        config = HhlConfig(n_c=2, method="trotter", trotter_steps=4, trotter_order=1)
+        cost = run_hhl(problem, config).cost
+        assert cost.controlled_u_count == 2 * 3
+        assert cost.elementary_exp_count == 2 * 3 * 4 * 2
 
     def test_block_counter_tracks_series_terms(self):
-        backend = BlockEvolution(hermitian_eigendecomposition(DEMO), truncation=12)
-        backend.charge_ladder(1.0, 3)  # rungs U^1, U^2 and U^4
-        assert backend.controlled_u_count == 7
-        assert backend.elementary_exp_count == 7 * 12
+        # n_c = 3: rungs U^1, U^2 and U^4 per pass, K = 12 series terms each
+        problem = ProblemInstance.from_arrays(DEMO, np.array([1.0, 0.0]))
+        cost = run_hhl(problem, HhlConfig(n_c=3, method="block", taylor_k=12)).cost
+        assert cost.controlled_u_count == 2 * 7
+        assert cost.elementary_exp_count == 2 * 7 * 12
+
+    def test_exponentials_per_application(self):
+        spectrum = hermitian_eigendecomposition(NONCOMMUTING)
+        assert ExactEvolution(spectrum).exponentials_per_application(0.7) == 1
+        # 3 terms (I, X, Z) per sweep, two sweeps per order-2 step, 5 steps
+        assert TrotterEvolution(NONCOMMUTING, steps=5).exponentials_per_application(0.7) == 5 * 2 * 3
+        block = BlockEvolution(spectrum)
+        auto = select_taylor_truncation(block.encoding.alpha, 0.7)
+        assert block.exponentials_per_application(0.7) == auto
+        assert BlockEvolution(spectrum, truncation=9).exponentials_per_application(0.7) == 9
+
+    @pytest.mark.parametrize("method", ["exact", "trotter", "block"])
+    def test_run_hhl_builds_one_propagator(self, monkeypatch, method):
+        # forward and inverse phase estimation share the one base U
+        problem = generate(FamilySpec("tridiagonal", 8, seed=0))
+        owner = {"exact": ExactEvolution, "trotter": TrotterEvolution, "block": BlockEvolution}[method]
+        calls, real = [], owner.propagator
+        monkeypatch.setattr(owner, "propagator", lambda self, t: calls.append(t) or real(self, t))
+        result = run_hhl(problem, HhlConfig(method=method))
+        assert calls == [result.resolved.t]
 
 
 class TestBlockHotPath:

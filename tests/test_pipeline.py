@@ -67,8 +67,8 @@ class TestEigenvalueInversion:
     # eigenvalue_inversion returns the ancilla = 1 branch as clock-by-data
     # amplitudes; its squared norm is the ancilla-1 probability.
     def _phased(self, matrix, b, n_c, t):
-        backend = ExactEvolution(hermitian_eigendecomposition(matrix))
-        return phase_estimation(amplitude_encode(b), backend, n_c, t)
+        u = ExactEvolution(hermitian_eigendecomposition(matrix)).propagator(t)
+        return phase_estimation(amplitude_encode(b), u, n_c)
 
     def test_bin_equal_to_c_fully_rotates(self):
         # single populated bin at lambda = 1 with C = 1: arcsin(1) = pi/2
@@ -197,6 +197,20 @@ class TestRunHhlGeneral:
         monkeypatch.setattr(pipeline, "make_backend", no_backend)
         with pytest.raises(RegisterTooLarge):
             run_hhl(demo_problem(), HhlConfig(method="exact", n_c=30, t=1.0))
+
+    def test_register_budget_checked_before_the_spectrum(self, monkeypatch):
+        # 1 + 20 + 6 qubits exceed MAX_QUBITS. Resolving t for this clock
+        # walks _grid_scale over ~5e4 candidates, so neither the spectrum
+        # nor the grid search may run before the budget check.
+        problem = generate(FamilySpec("tridiagonal", 64, seed=1, kappa_target=20.0))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("spectrum work done for an over-budget register")
+
+        monkeypatch.setattr(pipeline, "hermitian_eigendecomposition", refuse)
+        monkeypatch.setattr(pipeline, "_grid_scale", refuse)
+        with pytest.raises(RegisterTooLarge):
+            run_hhl(problem, HhlConfig(method="exact", n_c=20))
 
     def test_explicit_c_validated(self):
         with pytest.raises(ValueError):

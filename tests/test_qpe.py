@@ -11,8 +11,8 @@ import pytest
 import qpe_oracle
 from hhlsim.errors import DimensionMismatch
 from hhlsim.hamiltonian import ExactEvolution
-from hhlsim.linalg import hermitian_eigendecomposition
-from hhlsim.pipeline import amplitude_encode, eigenvalue_inversion
+from hhlsim.linalg import ProblemInstance, hermitian_eigendecomposition
+from hhlsim.pipeline import HhlConfig, amplitude_encode, eigenvalue_inversion, run_hhl
 from hhlsim.qpe import inverse_phase_estimation, phase_estimation
 from hhlsim.statevector import RegisterLayout, state_from_amplitudes
 from qpe_oracle import (
@@ -27,8 +27,8 @@ from qpe_oracle import (
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
-def exact_backend(a):
-    return ExactEvolution(hermitian_eigendecomposition(a))
+def exact_propagator(a, t):
+    return ExactEvolution(hermitian_eigendecomposition(a)).propagator(t)
 
 
 def clock_distribution(phased):
@@ -94,14 +94,14 @@ class TestPhaseEstimation:
     def test_zero_phase_keeps_clock_clear(self):
         # data |0> is an eigenstate of exp(i*A*t) with eigenvalue exactly
         # representable as bin 0 when A|0> = 0
-        backend = exact_backend(np.diag([0.0, 1.0]))
-        phased = phase_estimation(np.array([1.0, 0.0]), backend, 3, t=2 * np.pi / 8)
+        u = exact_propagator(np.diag([0.0, 1.0]), 2 * np.pi / 8)
+        phased = phase_estimation(np.array([1.0, 0.0]), u, 3)
         assert clock_distribution(phased)[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_deterministic_bin(self):
         # A = diag(1, 3), t = 2*pi/8, n_c = 3: eigenstate |1> lands on bin 3
-        backend = exact_backend(np.diag([1.0, 3.0]))
-        phased = phase_estimation(np.array([0.0, 1.0]), backend, 3, 2 * np.pi / 8)
+        u = exact_propagator(np.diag([1.0, 3.0]), 2 * np.pi / 8)
+        phased = phase_estimation(np.array([0.0, 1.0]), u, 3)
         probs = clock_distribution(phased)
         assert int(np.argmax(probs)) == 3
         assert probs[3] == pytest.approx(1.0, abs=1e-10)
@@ -110,15 +110,18 @@ class TestPhaseEstimation:
     def test_demo_two_peaks(self):
         # eigenvalues 0.5 and 1.5 with t = pi map to bins 1 and 3; b = (1, 0)
         # splits evenly over both eigenvectors
-        backend = exact_backend(np.array([[1.0, -0.5], [-0.5, 1.0]]))
-        phased = phase_estimation(np.array([1.0, 0.0]), backend, 2, t=np.pi)
+        u = exact_propagator(np.array([[1.0, -0.5], [-0.5, 1.0]]), np.pi)
+        phased = phase_estimation(np.array([1.0, 0.0]), u, 2)
         np.testing.assert_allclose(clock_distribution(phased), [0.0, 0.5, 0.0, 0.5], atol=1e-10)
 
     def test_controlled_u_count(self):
+        # the ladder of controlled U^(2^k), k < n_c, is 2^n_c - 1 applications
+        # of U per pass; a solve runs it forward and to uncompute
+        problem = ProblemInstance.from_arrays(np.diag([1.0, 2.0]), np.array([1.0, 0.0]))
         for n_c in range(1, 8):
-            backend = exact_backend(np.diag([1.0, 2.0]))
-            phase_estimation(np.array([1.0, 0.0]), backend, n_c, t=2 * np.pi / (1 << n_c))
-            assert backend.controlled_u_count == (1 << n_c) - 1
+            cost = run_hhl(problem, HhlConfig(n_c=n_c, t=2 * np.pi / (1 << n_c))).cost
+            assert cost.controlled_u_count == 2 * ((1 << n_c) - 1)
+            assert cost.elementary_exp_count == cost.controlled_u_count
 
     def test_clock_must_start_cleared(self):
         # the gate-level oracle starts from a full register state; the
@@ -127,19 +130,19 @@ class TestPhaseEstimation:
         state = init_state(layout)
         apply_unitary(state, H, [layout.clock_qubits[0]])
         with pytest.raises(ClockRegisterNotCleared):
-            qpe_oracle.phase_estimation(state, exact_backend(np.eye(2)).propagator(1.0), 2)
+            qpe_oracle.phase_estimation(state, exact_propagator(np.eye(2), 1.0), 2)
         with pytest.raises(DimensionMismatch):
-            phase_estimation(np.ones(4) / 2, exact_backend(np.eye(2)), 2, t=1.0)
+            phase_estimation(np.ones(4) / 2, exact_propagator(np.eye(2), 1.0), 2)
         with pytest.raises(DimensionMismatch):
-            phase_estimation(np.array([1.0, 0.0]), exact_backend(np.eye(2)), 0, t=1.0)
+            phase_estimation(np.array([1.0, 0.0]), exact_propagator(np.eye(2), 1.0), 0)
 
     def test_nearest_bin_mass_bound(self):
         # standard guarantee: the closest bin carries at least 4/pi^2
         rng = np.random.default_rng(31)
         for _ in range(20):
             lam = rng.uniform(1.0, 14.0)  # keep the phase inside bins 1..15
-            backend = exact_backend(np.diag([0.0, lam]))
-            phased = phase_estimation(np.array([0.0, 1.0]), backend, 4, 2 * np.pi / 16)
+            u = exact_propagator(np.diag([0.0, lam]), 2 * np.pi / 16)
+            phased = phase_estimation(np.array([0.0, 1.0]), u, 4)
             nearest = int(np.round(lam))
             assert clock_distribution(phased)[nearest] >= 4 / np.pi**2 - 1e-9
 
@@ -160,31 +163,30 @@ class TestInversePhaseEstimation:
         rng = np.random.default_rng(13)
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         a = (a + a.conj().T) / 2 + 3 * np.eye(4)
-        backend = exact_backend(a)
+        u = exact_propagator(a, 0.4)
         b_hat = amplitude_encode(rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        t = 0.4
-        phased = phase_estimation(b_hat, backend, 4, t)
-        np.testing.assert_allclose(inverse_phase_estimation(phased, backend, 4, t), b_hat, atol=1e-9)
-        assert backend.controlled_u_count == 2 * 15
+        phased = phase_estimation(b_hat, u, 4)
+        np.testing.assert_allclose(inverse_phase_estimation(phased, u, 4), b_hat, atol=1e-9)
 
     def test_representable_uncompute_clears_clock(self):
-        backend = exact_backend(np.diag([1.0, 3.0]))
-        t = 2 * np.pi / 8
-        phased = phase_estimation(np.array([0.6, 0.8]), backend, 3, t)
-        block = inverse_phase_estimation(phased, backend, 3, t)
+        u = exact_propagator(np.diag([1.0, 3.0]), 2 * np.pi / 8)
+        phased = phase_estimation(np.array([0.6, 0.8]), u, 3)
+        block = inverse_phase_estimation(phased, u, 3)
         assert np.linalg.norm(block) ** 2 >= 1.0 - 1e-10
         with pytest.raises(DimensionMismatch):
-            inverse_phase_estimation(phased, backend, 2, t)
+            inverse_phase_estimation(phased, u, 2)
+        with pytest.raises(DimensionMismatch):
+            inverse_phase_estimation(phased[:1], u, 0)
 
     def test_non_representable_leaves_residual(self):
         # off-grid eigenvalues leak over several bins; once the clock-controlled
         # rotation has acted, the uncompute cannot fully disentangle them. The
         # residual is a diagnostic, not an error.
-        backend = exact_backend(np.diag([1.0, np.pi]))
         t = 2 * np.pi / 8
-        phased = phase_estimation(np.array([0.6, 0.8]), backend, 3, t)
+        u = exact_propagator(np.diag([1.0, np.pi]), t)
+        phased = phase_estimation(np.array([0.6, 0.8]), u, 3)
         rotated = eigenvalue_inversion(phased, 0.9, 3, t, zero_bin_tolerance=0.5)
-        block = inverse_phase_estimation(rotated / np.linalg.norm(rotated), backend, 3, t)
+        block = inverse_phase_estimation(rotated / np.linalg.norm(rotated), u, 3)
         residual = 1.0 - np.linalg.norm(block) ** 2
         assert residual > 1e-6
 
@@ -194,7 +196,7 @@ def test_phase_estimate_fields():
     state = init_state(layout)
     qpe_oracle.prepare_b(state, np.array([0.0, 1.0]))
     t = 2 * np.pi / 4
-    qpe_oracle.phase_estimation(state, exact_backend(np.diag([0.0, 2.0])).propagator(t), 2)
+    qpe_oracle.phase_estimation(state, exact_propagator(np.diag([0.0, 2.0]), t), 2)
     estimate = read_clock(state, t)
     assert estimate.clock_distribution.sum() == pytest.approx(1.0, abs=1e-10)
     assert estimate.peak_bin == 2

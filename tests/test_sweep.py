@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -10,12 +11,14 @@ import numpy as np
 import pytest
 
 from hhlsim import sweep
+from hhlsim.pipeline import HhlConfig, result_to_json, run_hhl
 from hhlsim.sweep import (
     ROW_COLUMNS,
     SUMMARY_COLUMNS,
     FamilyTemplate,
     MethodConfig,
     SweepConfig,
+    demo_problem,
     run_eq3_experiment,
     run_sweep,
     summarize_rows,
@@ -287,6 +290,22 @@ class TestSweepConfigJson:
         assert config.shots == 10_000
         assert config.timing is False
 
+    def test_sizes_coerced_and_missing_fields_raise_key_error(self):
+        doc = {
+            "families": [{"family": "diagonal", "extra": 1}],
+            "sizes": ["4", 8],
+            "methods": [{}],
+            "output_dir": "x",
+        }
+        config = sweep_config_from_json(doc)
+        assert config.sizes == [4, 8]
+        assert config.families == [FamilyTemplate("diagonal")]
+        assert config.methods == [MethodConfig()]
+        # a KeyError is what the CLI turns into exit code 2
+        with pytest.raises(KeyError, match="family"):
+            sweep_config_from_json(dict(doc, families=[{"kappa_target": 2.0}]))
+        with pytest.raises(KeyError, match="output_dir"):
+            sweep_config_from_json({k: v for k, v in doc.items() if k != "output_dir"})
 
     def test_document_with_a_removed_key_loads(self):
         # sweep documents written while SweepConfig had cell_timeout_s still load
@@ -319,15 +338,15 @@ class TestEq3Experiment:
 
 class TestSweepParityTool:
     @staticmethod
-    def compare_csv():
+    def tool():
         path = Path(__file__).resolve().parents[1] / "tools" / "sweep_parity.py"
         spec = importlib.util.spec_from_file_location("sweep_parity", path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        return module.compare_csv
+        return module
 
     def test_float_drift_is_measured_and_exact_columns_must_match(self, tmp_path):
-        compare = self.compare_csv()
+        compare = self.tool().compare_csv
         header = "family,N,fidelity,error\n"
         files = {
             "base": "dense,8,0.5,\n",
@@ -341,3 +360,22 @@ class TestSweepParityTool:
         assert not identical and mismatched == []
         assert diffs["fidelity"] == pytest.approx(1e-8)
         assert compare(tmp_path / "base", tmp_path / "other")[2] == ["N", "error"]
+
+    def test_solve_drift_is_measured_and_a_cost_mismatch_is_flagged(self):
+        compare = self.tool().compare_solves
+        result = result_to_json(run_hhl(demo_problem(), HhlConfig(method="exact")))
+        case = {"family": "dense", "N": 2, "method": "exact", "seed": 0, "config": {}}
+        base = dict(case, result=result)
+        drift = json.loads(json.dumps(base))
+        drift["result"]["solution_amplitudes"]["re"][0] += 1e-9
+        drift["result"]["fidelity"] -= 1e-12
+        methods, mismatched = compare([base], [drift])
+        assert mismatched == [] and not methods["exact"]["bitwise"]
+        assert methods["exact"]["amplitudes"] == pytest.approx(1e-9, rel=1e-6)
+        assert methods["exact"]["scalars"] == pytest.approx(1e-12, rel=1e-3)
+        assert compare([base], [base])[0]["exact"] == {"bitwise": True, "amplitudes": 0.0, "scalars": 0.0}
+        costly = json.loads(json.dumps(base))
+        costly["result"]["cost"]["elementary_exp_count"] += 1
+        assert compare([base], [costly])[1] == ["dense/N=2/exact/seed=0: cost"]
+        failed = dict(case, error="ZeroEigenvalueBin: x")
+        assert compare([base], [failed])[1] == ["dense/N=2/exact/seed=0: error"]
