@@ -32,8 +32,9 @@ from .pipeline import (
     expected_outcome_distribution,
     resolve_config,
     run_hhl,
+    spectral_inversion,
 )
-from .qpe import inverse_phase_estimation, phase_estimation
+from .qpe import inverse_phase_estimation, phase_estimation, spectral_phase_estimation
 from .statevector import (
     RegisterLayout,
     ShotHistogram,
@@ -81,8 +82,10 @@ __all__ = [
     "expected_outcome_distribution",
     "resolve_config",
     "run_hhl",
+    "spectral_inversion",
     "inverse_phase_estimation",
     "phase_estimation",
+    "spectral_phase_estimation",
     "RegisterLayout",
     "ShotHistogram",
     "StateVector",

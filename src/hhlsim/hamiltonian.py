@@ -13,17 +13,23 @@ Three interchangeable ways to realize U:
   A = alpha * (A/alpha), projected to the nearest unitary. A polynomial in a
   Hermitian matrix is diagonal in its eigenbasis and the polar factor of a
   normal matrix is its phase, so the backend evaluates p_K on the encoded
-  eigenvalues of the spectrum the pipeline already computed and returns
+  eigenvalues of the spectrum the pipeline already computed: U is
   V diag(p/|p|) V^dagger. ``taylor_exponential(block_encode(A), t)`` builds
   the same matrix the long way (series of matrix products, Gram-matrix polar
   factor) and stays the reference; the doubled unitary is built only on
   request (``BlockEncoding.unitary``).
 
-A backend holds no state past its construction. It answers two questions:
-``propagator(t)`` builds U, and ``exponentials_per_application(t)`` is the
-number of elementary exponential factors one application of U spends in the
-modelled circuit. Phase estimation needs only U (it applies U^m as m
-mat-vecs); the pipeline turns the second answer into the solve's cost.
+A backend holds no state past its construction. It answers three
+questions. ``eigenphases(t)`` gives the phases phi_j with
+U = V diag(e^{i*phi}) V^dagger in the eigenbasis V of the spectrum the
+backend was built from: lambda_j * t for exact, arg p_K(i*lambda_j*t) for
+block, and None for Trotter, whose U is not diagonal in A's eigenbasis.
+``propagator(t)`` builds U as a matrix. ``exponentials_per_application(t)``
+is the number of elementary exponential factors one application of U spends
+in the modelled circuit. The pipeline runs phase estimation in closed form
+on the eigenphases when a backend has them and on the matrix U otherwise
+(see :mod:`hhlsim.pipeline`); it turns the third answer into the solve's
+cost either way.
 """
 
 from __future__ import annotations
@@ -309,6 +315,13 @@ def taylor_exponential(
 class EvolutionBackend:
     """How a solve builds U = exp(i*A*t), and what one application costs."""
 
+    def eigenphases(self, t: float) -> np.ndarray | None:
+        """Phases phi with U = V diag(e^{i*phi}) V^dagger in A's eigenbasis V.
+
+        None when U is not diagonal in that basis.
+        """
+        return None
+
     def propagator(self, t: float) -> np.ndarray:
         """U = exp(i*A*t)."""
         raise NotImplementedError
@@ -323,6 +336,9 @@ class ExactEvolution(EvolutionBackend):
 
     def __init__(self, spectrum: Spectrum):
         self.spectrum = spectrum
+
+    def eigenphases(self, t: float) -> np.ndarray:
+        return self.spectrum.eigenvalues * t
 
     def propagator(self, t: float) -> np.ndarray:
         return propagator_from_spectrum(self.spectrum, t)
@@ -350,20 +366,23 @@ class TrotterEvolution(EvolutionBackend):
 
 
 class BlockEvolution(EvolutionBackend):
-    """Taylor-series propagator from the block encoding of A.
+    """Taylor-series evolution from the block encoding of A.
 
-    Only the base exp(i*A*t) is built; a single series at time t*power would
-    need an ever larger truncation order (the remainder bound grows like
-    (alpha*t*power)^K / K!). Each application of U spends K series terms.
-    The series and its polar projection are evaluated on the encoded
-    eigenvalues alpha * (lambda/alpha) rather than on the matrix.
+    The series is taken at the base time t only; a single series at time
+    t*power would need an ever larger truncation order (the remainder bound
+    grows like (alpha*t*power)^K / K!), so U^m is the base applied m times.
+    Each application of U spends K series terms. The series and its polar
+    projection are evaluated on the encoded eigenvalues alpha * (lambda/alpha)
+    rather than on the matrix: their phases are the eigenphases, and
+    ``propagator`` builds V diag(e^{i*phi}) V^dagger from them.
     """
 
     def __init__(self, spectrum: Spectrum, truncation: int | None = None):
         self.encoding = BlockEncoding.from_spectrum(spectrum)
         self.truncation = truncation
 
-    def propagator(self, t: float) -> np.ndarray:
+    def eigenphases(self, t: float) -> np.ndarray:
+        """arg p_K(i*lambda_j*t): the phase of the series on each encoded eigenvalue."""
         spectrum, alpha = self.encoding.spectrum, self.encoding.alpha
         x = 1j * t * (alpha * (spectrum.eigenvalues / alpha))
         acc = np.ones_like(x)
@@ -371,8 +390,11 @@ class BlockEvolution(EvolutionBackend):
         for j in range(1, self.exponentials_per_application(t) + 1):
             term = term * x / j
             acc = acc + term
-        v = spectrum.eigenvectors
-        return (v * (acc / np.abs(acc))) @ v.conj().T
+        return np.angle(acc)
+
+    def propagator(self, t: float) -> np.ndarray:
+        v = self.encoding.spectrum.eigenvectors
+        return (v * np.exp(1j * self.eigenphases(t))) @ v.conj().T
 
     def exponentials_per_application(self, t: float) -> int:
         """Series order K, which is also the cost of one application of U."""

@@ -7,20 +7,35 @@ rotate the ancilla by arcsin(C/lambda) controlled on each clock bin,
 post-select ancilla = 1, uncompute the clock, and read the solution
 amplitudes off the zero-clock data block.
 
-The state is held as (clock, data) blocks, never as the full
-ancilla-clock-data register. The solve builds one base propagator
-U = exp(i*A*t); phase estimation and its uncompute each apply it as a Krylov
-sequence of mat-vecs plus an FFT along the clock axis (see
-:mod:`hhlsim.qpe`). The rotation's ancilla = 1 branch is the clock-by-data
-array scaled bin by bin, and post-selection keeps exactly that branch,
-renormalized by its squared norm (the success probability). Reported
-fidelities therefore measure algorithmic error only; shot noise enters
-solely through histogram sampling on the final state.
+The state is never held as the full ancilla-clock-data register. HHL is
+diagonal in A's eigenbasis (Harrow, Hassidim and Lloyd, 0811.3171), and the
+route follows from what the backend offers:
 
-The reported cost is that of the modelled circuit, in closed form: each
-pass is a ladder of 2^n_c - 1 applications of U, and each application
-spends the backend's ``exponentials_per_application`` elementary
-exponentials.
+* Eigenbasis route (exact and block, whose U = V diag(e^{i*phi}) V^dagger
+  shares A's eigenvectors V). With beta = V^dagger b/||b|| and the
+  phase-estimation kernel P[k, j] of :func:`hhlsim.qpe.spectral_phase_estimation`,
+  the bin gains c_k = min(C/lambda_k, 1) (c_0 = 0) give the zero-bin mass
+  P[0] . |beta|^2, the success probability (c^2)^T P |beta|^2 and the
+  uncomputed zero-clock block V (beta * c^T P) / sqrt(success). No
+  propagator is built; the only mat-vecs are V^dagger b and the product
+  with V.
+* Matrix route (Trotter). The solve builds one base propagator
+  U = exp(i*A*t); phase estimation and its uncompute each apply it as a
+  Krylov sequence of mat-vecs plus an FFT along the clock axis (see
+  :mod:`hhlsim.qpe`). The rotation's ancilla = 1 branch is the clock-by-data
+  array scaled bin by bin by the same gains, and post-selection keeps
+  exactly that branch, renormalized by its squared norm (the success
+  probability).
+
+On both routes the clock residual is 1 minus the squared norm of the
+zero-clock block. Reported fidelities therefore measure algorithmic error
+only; shot noise enters solely through histogram sampling on the final
+state.
+
+The reported cost is that of the modelled circuit, in closed form and the
+same on both routes: each pass is a ladder of 2^n_c - 1 applications of U,
+and each application spends the backend's ``exponentials_per_application``
+elementary exponentials.
 """
 
 from __future__ import annotations
@@ -47,7 +62,7 @@ from .linalg import (
     vector_from_json,
     vector_to_json,
 )
-from .qpe import inverse_phase_estimation, phase_estimation
+from .qpe import inverse_phase_estimation, phase_estimation, spectral_phase_estimation
 from .statevector import RegisterLayout, fidelity
 
 POPULATION_CUTOFF = 1e-12
@@ -213,6 +228,33 @@ def amplitude_encode(b) -> np.ndarray:
     return v / norm
 
 
+def _bin_gains(c: float, n_c: int, t: float) -> np.ndarray:
+    """sin of the ancilla rotation per clock bin: min(C/lambda_m, 1), 0 on bin 0.
+
+    lambda_m = 2*pi*m / (2^n_c * t). Bin 0 has no finite rotation; bins
+    below C (possible only as discretization leakage) clamp at arcsin(1).
+    """
+    if c <= 0.0:
+        raise ValueError(f"inversion constant must be positive, got {c}")
+    bins = 1 << n_c
+    lam = 2.0 * np.pi * np.arange(1, bins) / (bins * t)
+    gains = np.zeros(bins)
+    gains[1:] = np.minimum(c / lam, 1.0)
+    return gains
+
+
+def _check_zero_bin(zero_bin_mass: float, tolerance: float) -> None:
+    if zero_bin_mass > tolerance:
+        raise ZeroEigenvalueBin(
+            f"clock bin 0 carries probability {zero_bin_mass:.3e} (tolerance {tolerance:.1e})"
+        )
+
+
+def _check_success(success: float) -> None:
+    if success < 1e-12:
+        raise PostSelectionImpossible(f"ancilla success probability {success:.3e} below 1e-12")
+
+
 def eigenvalue_inversion(
     amplitudes: np.ndarray,
     c: float,
@@ -223,29 +265,50 @@ def eigenvalue_inversion(
     """Ancilla = 1 branch of the rotation by 2*arcsin(C/lambda_m) on clock bin m.
 
     Takes the clock-by-data ``amplitudes`` of phase estimation (ancilla 0)
-    and returns what the rotation moves to ancilla 1: bin m scaled by
-    sin = min(C/lambda_m, 1), with lambda_m = 2*pi*m / (2^n_c * t). Bin 0
-    has no finite rotation, must be (near-)empty and stays on ancilla 0. For
-    bins below C (possible only as discretization leakage) the rotation
-    clamps at arcsin(1).
+    and returns what the rotation moves to ancilla 1: bin m scaled by its
+    gain (see :func:`_bin_gains`). Bin 0 must be (near-)empty and stays on
+    ancilla 0.
     """
-    if c <= 0.0:
-        raise ValueError(f"inversion constant must be positive, got {c}")
+    gains = _bin_gains(c, n_c, t)
     bins = 1 << n_c
     if amplitudes.ndim != 2 or amplitudes.shape[0] != bins:
         raise DimensionMismatch(
             f"amplitudes of shape {amplitudes.shape} do not have {bins} clock bins"
         )
-    zero_bin_mass = float(np.sum(np.abs(amplitudes[0]) ** 2))
-    if zero_bin_mass > zero_bin_tolerance:
-        raise ZeroEigenvalueBin(
-            f"clock bin 0 carries probability {zero_bin_mass:.3e} "
-            f"(tolerance {zero_bin_tolerance:.1e})"
-        )
-    lam = 2.0 * np.pi * np.arange(1, bins) / (bins * t)
+    _check_zero_bin(float(np.sum(np.abs(amplitudes[0]) ** 2)), zero_bin_tolerance)
     rotated = np.zeros_like(amplitudes)
-    rotated[1:] = np.minimum(c / lam, 1.0)[:, None] * amplitudes[1:]
+    rotated[1:] = gains[1:, None] * amplitudes[1:]
     return rotated
+
+
+def spectral_inversion(
+    beta: np.ndarray,
+    kernel: np.ndarray,
+    c: float,
+    n_c: int,
+    t: float,
+    zero_bin_tolerance: float = 1e-10,
+) -> tuple[np.ndarray, float]:
+    """Rotation, post-selection and clock uncompute in A's eigenbasis.
+
+    ``kernel`` is the (2^n_c, N) phase-estimation kernel P of
+    :func:`hhlsim.qpe.spectral_phase_estimation` and ``beta`` the data state
+    in the eigenbasis. Returns the eigenbasis amplitudes of the uncomputed
+    zero-clock block of the ancilla = 1 branch before renormalization,
+    beta * (c^T P), and the success probability (c^2)^T P |beta|^2, with
+    the bin gains c of :func:`_bin_gains`. Bin 0 must be (near-)empty, as
+    in :func:`eigenvalue_inversion`.
+    """
+    gains = _bin_gains(c, n_c, t)
+    if kernel.shape != (len(gains), len(beta)):
+        raise DimensionMismatch(
+            f"kernel of shape {kernel.shape}, expected ({len(gains)}, {len(beta)}) "
+            f"for {n_c} clock qubits"
+        )
+    beta2 = beta.real**2 + beta.imag**2
+    _check_zero_bin(float(kernel[0] @ beta2), zero_bin_tolerance)
+    success = float(gains**2 @ kernel @ beta2)
+    return beta * (gains @ kernel), success
 
 
 def run_hhl(problem: ProblemInstance, config: HhlConfig) -> HhlResult:
@@ -268,22 +331,30 @@ def run_hhl(problem: ProblemInstance, config: HhlConfig) -> HhlResult:
         trotter_order=resolved.trotter_order,
         taylor_k=resolved.taylor_k,
     )
-    u = backend.propagator(t)
-    phased = phase_estimation(amplitude_encode(problem.rhs), u, n_c)
     # Only the exact backend on an on-grid spectrum is guaranteed to leave
     # bin 0 empty; off-grid spectra and approximate propagators leak a little
     # mass everywhere, so only a gross population (a genuinely mis-scaled
     # problem, already screened in resolve_config) is an error there.
     strict = representable and resolved.method == "exact"
     zero_bin_tolerance = 1e-10 if strict else 0.5
-    rotated = eigenvalue_inversion(phased, c, n_c, t, zero_bin_tolerance=zero_bin_tolerance)
-
-    success = float(np.sum(np.abs(rotated) ** 2))
-    if success < 1e-12:
-        raise PostSelectionImpossible(
-            f"ancilla success probability {success:.3e} below 1e-12"
+    b_hat = amplitude_encode(problem.rhs)
+    phases = backend.eigenphases(t)
+    if phases is None:
+        u = backend.propagator(t)
+        phased = phase_estimation(b_hat, u, n_c)
+        rotated = eigenvalue_inversion(phased, c, n_c, t, zero_bin_tolerance=zero_bin_tolerance)
+        success = float(np.sum(np.abs(rotated) ** 2))
+        _check_success(success)
+        solution = inverse_phase_estimation(rotated / math.sqrt(success), u, n_c)
+    else:
+        v = spectrum.eigenvectors
+        beta = v.conj().T @ b_hat
+        kernel = spectral_phase_estimation(beta, v, phases, n_c)
+        weights, success = spectral_inversion(
+            beta, kernel, c, n_c, t, zero_bin_tolerance=zero_bin_tolerance
         )
-    solution = inverse_phase_estimation(rotated / math.sqrt(success), u, n_c)
+        _check_success(success)
+        solution = v @ (weights / math.sqrt(success))
     solution_norm = float(np.linalg.norm(solution))
     clock_residual = 1.0 - solution_norm**2
     if solution_norm < 1e-12:

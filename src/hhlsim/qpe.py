@@ -7,17 +7,28 @@ sum_m |m> U^m|b> / sqrt(M), with M = 2^n_c and U = exp(i*A*t): a Krylov
 sequence of b under U, one data block per clock value. The inverse QFT on
 the clock is then a discrete Fourier transform along the clock axis (Cleve,
 Ekert, Macchiavello and Mosca, "Quantum algorithms revisited",
-quant-ph/9708016), so a forward pass is M - 1 mat-vecs with one base
-propagator plus one FFT. The uncompute mirrors it: an inverse FFT, then the
-zero-clock block sum_m U^-m chi_m as a Horner pass with U^dagger.
+quant-ph/9708016). Two routes evaluate it:
 
-Both passes take the base matrix U, which the caller builds once per solve;
-the forward pass checks it for unitarity, and no U^(2^k) is formed.
-Clock-by-data states are (2^n_c, N) arrays whose row j is the data block of
-clock bin j. Neither pass counts cost: the modelled circuit's ladder of
-controlled U^(2^k), one per clock qubit k, is 2^n_c - 1 applications of U
-per pass in closed form, and the pipeline reports it. The gate-level circuit
-this replaces is kept as the test oracle ``tests/qpe_oracle.py``.
+* In the eigenbasis, when U = V diag(e^{i*phi}) V^dagger shares A's
+  eigenvectors V (the exact and block backends): eigenvector j lands on
+  bin k with amplitude alpha_{kj} = FFT_m(e^{i*m*phi_j}) / M (Nielsen and
+  Chuang, section 5.2), so :func:`spectral_phase_estimation` returns the
+  (M, N) kernel P = |alpha|^2 at O(M N log M) cost and applies no matrix.
+  The pipeline finishes inversion and uncompute from P in closed form.
+* On the matrix, for any U (the Trotter backend, whose U is not diagonal in
+  A's eigenbasis): :func:`phase_estimation` is M - 1 mat-vecs with the base
+  U plus one FFT, and :func:`inverse_phase_estimation` mirrors it with an
+  inverse FFT and the zero-clock block sum_m U^-m chi_m as a Horner pass
+  with U^dagger.
+
+Each forward pass checks the unitarity of the operator it is given: the
+base U on the matrix route, the eigenbasis V on the eigenbasis route. No
+U^(2^k) is formed. Clock-by-data states are (2^n_c, N) arrays whose row j is
+the data block of clock bin j. No pass counts cost: the modelled circuit's
+ladder of controlled U^(2^k), one per clock qubit k, is 2^n_c - 1
+applications of U per pass in closed form, and the pipeline reports it. The
+gate-level circuit both routes replace is kept as the test oracle
+``tests/qpe_oracle.py``.
 """
 
 from __future__ import annotations
@@ -28,6 +39,36 @@ from .errors import DimensionMismatch
 from .statevector import _check_unitary
 
 
+def _check_clock(n_c: int) -> None:
+    if n_c < 1:
+        raise DimensionMismatch(f"phase estimation needs at least one clock qubit, got {n_c}")
+
+
+def spectral_phase_estimation(
+    beta: np.ndarray, eigenvectors: np.ndarray, phases: np.ndarray, n_c: int
+) -> np.ndarray:
+    """Clock-bin probabilities P[k, j] of phase estimation on eigenvector j.
+
+    For U = V diag(e^{i*phi}) V^dagger and a data state V beta, the forward
+    pass leaves clock bin k holding V (alpha_k * beta), with
+    alpha_{kj} = (1/M) sum_m exp(-2*pi*i*k*m/M) e^{i*m*phi_j}; this returns
+    |alpha|^2, whose column j sums to one. ``beta`` (the data state in the
+    eigenbasis) and ``phases`` must match ``eigenvectors``, which must be
+    unitary.
+    """
+    _check_clock(n_c)
+    dim = eigenvectors.shape[0]
+    if eigenvectors.shape != (dim, dim) or np.shape(beta) != (dim,) or np.shape(phases) != (dim,):
+        raise DimensionMismatch(
+            f"eigenbasis of shape {eigenvectors.shape} does not fit a data state of shape "
+            f"{np.shape(beta)} and phases of shape {np.shape(phases)}"
+        )
+    _check_unitary(eigenvectors)
+    bins = 1 << n_c
+    alpha = np.fft.fft(np.exp(1j * np.outer(np.arange(bins), phases)), axis=0) / bins
+    return alpha.real**2 + alpha.imag**2
+
+
 def phase_estimation(b_hat: np.ndarray, u: np.ndarray, n_c: int) -> np.ndarray:
     """Clock-by-data amplitudes after phase estimation of the data state ``b_hat``.
 
@@ -35,8 +76,7 @@ def phase_estimation(b_hat: np.ndarray, u: np.ndarray, n_c: int) -> np.ndarray:
     U^m b_hat of the base propagator ``u``, built by repeated mat-vec,
     Fourier transformed over m.
     """
-    if n_c < 1:
-        raise DimensionMismatch(f"phase estimation needs at least one clock qubit, got {n_c}")
+    _check_clock(n_c)
     b_hat = np.asarray(b_hat, dtype=np.complex128)
     if b_hat.shape != (u.shape[0],):
         raise DimensionMismatch(
@@ -58,8 +98,7 @@ def inverse_phase_estimation(amplitudes: np.ndarray, u: np.ndarray, n_c: int) ->
     eta = inverse FFT of xi over the clock axis. For a normalized input,
     1 - its squared norm is the mass the uncompute leaves off clock 0.
     """
-    if n_c < 1:
-        raise DimensionMismatch(f"phase estimation needs at least one clock qubit, got {n_c}")
+    _check_clock(n_c)
     bins = 1 << n_c
     if amplitudes.shape != (bins, u.shape[0]):
         raise DimensionMismatch(

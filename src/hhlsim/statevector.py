@@ -8,12 +8,12 @@ Conventions (fixed everywhere in this package):
   data qubits are ``0 .. n_data-1``, clock qubits ``n_data .. n_data+n_clock-1``
   and the single ancilla sits on top. Basis index = a*2^(nc+nd) + m*2^nd + d.
 
-The solve path never holds the full register: phase estimation works on
-clock-by-data arrays (see :mod:`hhlsim.qpe`), but a solve is still refused
-when its modelled register exceeds ``MAX_QUBITS``. What remains here is the
-unitarity check, marginals, shot sampling and fidelity. The gate-by-gate
-engine the Krylov path is tested against lives with the test oracle
-(``tests/qpe_oracle.py``).
+The solve path never holds the full register: phase estimation works in
+A's eigenbasis or on clock-by-data arrays (see :mod:`hhlsim.qpe`), but a
+solve is still refused when its modelled register exceeds ``MAX_QUBITS``.
+What remains here is the unitarity check, marginals, shot sampling and
+fidelity. The gate-by-gate engine both routes are tested against lives with
+the test oracle (``tests/qpe_oracle.py``).
 """
 
 from __future__ import annotations

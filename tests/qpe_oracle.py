@@ -7,8 +7,9 @@ circuit with it on the full (ancilla, clock, data) register laid out as in
 ladder with U^(2^k) = matrix_power(U, 2^k) of a base propagator U, the QFT
 gate by gate (Hadamards, controlled phases, swaps), the
 clock-controlled ancilla rotation, exact collapse onto ancilla = 1 and the
-mirrored uncompute. ``hhlsim`` runs the same algorithm as a Krylov sequence
-plus a clock-axis FFT; the differential tests hold it to this engine. The
+mirrored uncompute. ``hhlsim`` runs the same algorithm in closed form in A's
+eigenbasis (exact and block) or as a Krylov sequence plus a clock-axis FFT
+(Trotter); the differential tests hold both routes to this engine. The
 block base U is rebuilt here the long way, as ``taylor_exponential`` of
 ``block_encode(A)`` (series of matrix products, Gram-matrix polar factor), so
 the backend's evaluation of the series on the spectrum is checked end to end.

@@ -355,13 +355,26 @@ class TestBackends:
 
     @pytest.mark.parametrize("method", ["exact", "trotter", "block"])
     def test_run_hhl_builds_one_propagator(self, monkeypatch, method):
-        # forward and inverse phase estimation share the one base U
+        # Trotter's forward and inverse phase estimation share the one base
+        # U; exact and block solve on their eigenphases and build none
         problem = generate(FamilySpec("tridiagonal", 8, seed=0))
         owner = {"exact": ExactEvolution, "trotter": TrotterEvolution, "block": BlockEvolution}[method]
         calls, real = [], owner.propagator
         monkeypatch.setattr(owner, "propagator", lambda self, t: calls.append(t) or real(self, t))
         result = run_hhl(problem, HhlConfig(method=method))
-        assert calls == [result.resolved.t]
+        assert calls == ([result.resolved.t] if method == "trotter" else [])
+
+    def test_eigenphases_match_the_propagator(self):
+        # U = V diag(e^{i*phi}) V^dagger for the backends that offer phases;
+        # Trotter's U is not diagonal in A's eigenbasis and offers none
+        spectrum = hermitian_eigendecomposition(NONCOMMUTING)
+        v, t = spectrum.eigenvectors, 0.7
+        for backend in (ExactEvolution(spectrum), BlockEvolution(spectrum), BlockEvolution(spectrum, 4)):
+            phases = backend.eigenphases(t)
+            rebuilt = (v * np.exp(1j * phases)) @ v.conj().T
+            np.testing.assert_allclose(rebuilt, backend.propagator(t), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(ExactEvolution(spectrum).eigenphases(t), spectrum.eigenvalues * t)
+        assert TrotterEvolution(NONCOMMUTING).eigenphases(t) is None
 
 
 class TestBlockHotPath:

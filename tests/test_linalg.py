@@ -13,6 +13,7 @@ from hhlsim.linalg import (
     condition_number,
     hermitian_eigendecomposition,
     matrix_from_json,
+    max_asymmetry,
     matrix_to_json,
     problem_from_json,
     problem_to_json,
@@ -102,6 +103,13 @@ class TestEigendecomposition:
         assert calls == [dtype]
         assert np.max(np.abs(spec.reconstruct() - a)) <= 1e-10
 
+    @pytest.mark.parametrize("family", ["tridiagonal", "dense"])
+    def test_asymmetry_of_a_real_matrix_read_as_real(self, family):
+        a = generate(FamilySpec(family, 16, seed=3)).matrix.copy()
+        a[2, 5] += 3e-13
+        assert max_asymmetry(a) == float(np.max(np.abs(a - a.conj().T)))
+        assert max_asymmetry(a) > 0.0
+
     def test_non_hermitian_reports_asymmetry(self):
         a = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(NonHermitian) as excinfo:
@@ -177,6 +185,21 @@ class TestSolveLinear:
         problem = ProblemInstance.from_arrays(a, b)
         x = solve_linear(problem)
         assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("family", ["tridiagonal", "moderate", "dense"])
+    def test_real_matrix_factored_once_as_real(self, monkeypatch, family):
+        # an exactly real A takes one real LU with Re b and Im b as its two
+        # right-hand sides; a complex A one complex LU
+        problem = generate(FamilySpec(family, 32, seed=6))
+        calls, real_solve = [], np.linalg.solve
+        monkeypatch.setattr(
+            np.linalg, "solve", lambda a, b: calls.append((a.dtype, b.shape)) or real_solve(a, b)
+        )
+        x = solve_linear(problem)
+        real = family != "dense"
+        assert calls == ([(np.float64, (32, 2))] if real else [(np.complex128, (32,))])
+        reference = real_solve(problem.matrix, problem.rhs)
+        assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
 
     def test_singular(self):
         problem = ProblemInstance(

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhlsim import pipeline
+from hhlsim import hamiltonian, pipeline, qpe
 from hhlsim.errors import (
     DimensionMismatch,
     IndefiniteMatrix,
+    NonUnitary,
     RegisterTooLarge,
     ZeroEigenvalueBin,
     ZeroVector,
 )
 from hhlsim.families import FAMILIES, FamilySpec, generate
-from hhlsim.hamiltonian import ExactEvolution
+from hhlsim.hamiltonian import BlockEvolution, ExactEvolution
 from hhlsim.linalg import ProblemInstance, Spectrum, hermitian_eigendecomposition
 from hhlsim.pipeline import (
     HhlConfig,
@@ -27,8 +28,10 @@ from hhlsim.pipeline import (
     result_from_json,
     result_to_json,
     run_hhl,
+    spectral_inversion,
+    spectrum_is_representable,
 )
-from hhlsim.qpe import phase_estimation
+from hhlsim.qpe import inverse_phase_estimation, phase_estimation, spectral_phase_estimation
 from hhlsim.statevector import RegisterLayout
 from hhlsim.sweep import demo_problem
 from qpe_oracle import init_state, prepare_b
@@ -105,6 +108,104 @@ class TestEigenvalueInversion:
         phased = self._phased(np.diag([1.0, 1.0]), [1.0, 0.0], 2, 2 * np.pi / 4)
         with pytest.raises(DimensionMismatch):
             eigenvalue_inversion(phased, 1.0, 3, 2 * np.pi / 4)
+
+
+class TestSpectralInversion:
+    # spectral_inversion returns the eigenbasis amplitudes beta * (c^T P) of
+    # the uncomputed ancilla = 1 branch and its probability (c^2)^T P |beta|^2.
+    def _kernel(self, matrix, b, n_c, t):
+        spectrum = hermitian_eigendecomposition(matrix)
+        v = spectrum.eigenvectors
+        beta = v.conj().T @ amplitude_encode(b)
+        return beta, spectral_phase_estimation(beta, v, ExactEvolution(spectrum).eigenphases(t), n_c)
+
+    def test_bin_equal_to_c_fully_rotates(self):
+        beta, kernel = self._kernel(np.diag([1.0, 1.0]), [1.0, 0.0], 2, 2 * np.pi / 4)
+        weights, success = spectral_inversion(beta, kernel, 1.0, 2, 2 * np.pi / 4)
+        assert success == pytest.approx(1.0, abs=1e-10)
+        np.testing.assert_allclose(weights, beta, atol=1e-10)
+
+    def test_demo_amplitude_ratio_three_to_one(self):
+        # C = 0.5 on eigenvalues (0.5, 1.5), both populated equally
+        beta, kernel = self._kernel(DEMO, [1.0, 0.0], 2, np.pi)
+        weights, _ = spectral_inversion(beta, kernel, 0.5, 2, np.pi)
+        assert abs(weights[0]) / abs(weights[1]) == pytest.approx(3.0, abs=1e-9)
+
+    def test_half_ratio_quarter_probability(self):
+        beta, kernel = self._kernel(np.diag([2.0, 2.0]), [1.0, 0.0], 2, 2 * np.pi / 4)
+        _, success = spectral_inversion(beta, kernel, 1.0, 2, 2 * np.pi / 4)
+        assert success == pytest.approx(0.25, abs=1e-10)
+
+    def test_populated_zero_bin_rejected(self):
+        beta, kernel = self._kernel(np.diag([0.0, 2.0]), [1.0, 1.0], 2, 2 * np.pi / 4)
+        with pytest.raises(ZeroEigenvalueBin):
+            spectral_inversion(beta, kernel, 1.0, 2, 2 * np.pi / 4)
+
+    @pytest.mark.parametrize("c", [0.0, -0.1])
+    def test_invalid_constant(self, c):
+        beta, kernel = self._kernel(np.diag([1.0, 1.0]), [1.0, 0.0], 2, 2 * np.pi / 4)
+        with pytest.raises(ValueError):
+            spectral_inversion(beta, kernel, c, 2, 2 * np.pi / 4)
+
+    def test_clock_width_mismatch(self):
+        beta, kernel = self._kernel(np.diag([1.0, 1.0]), [1.0, 0.0], 2, 2 * np.pi / 4)
+        with pytest.raises(DimensionMismatch):
+            spectral_inversion(beta, kernel, 1.0, 3, 2 * np.pi / 4)
+
+    def test_matches_the_matrix_route_off_grid(self):
+        # the same inversion and uncompute as eigenvalue_inversion and the
+        # Horner pass on the propagator, on a spectrum that leaks into
+        # every bin
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        a = (a + a.conj().T) / 2 + 6 * np.eye(8)
+        b = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        n_c, t, c = 4, 0.37, 0.5
+        spectrum = hermitian_eigendecomposition(a)
+        beta, kernel = self._kernel(a, b, n_c, t)
+        weights, success = spectral_inversion(beta, kernel, c, n_c, t, zero_bin_tolerance=0.5)
+        u = ExactEvolution(spectrum).propagator(t)
+        rotated = eigenvalue_inversion(
+            phase_estimation(amplitude_encode(b), u, n_c), c, n_c, t, zero_bin_tolerance=0.5
+        )
+        assert success == pytest.approx(float(np.sum(np.abs(rotated) ** 2)), abs=1e-13)
+        np.testing.assert_allclose(
+            spectrum.eigenvectors @ weights, inverse_phase_estimation(rotated, u, n_c), atol=1e-13
+        )
+
+
+class TestEigenbasisRoute:
+    @pytest.mark.parametrize("method", ["exact", "block"])
+    def test_exact_and_block_apply_no_propagator(self, monkeypatch, method):
+        # no U is built, no Krylov or Horner pass runs and no power is taken
+        calls = []
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(name) or real(*a, **k))
+
+        for owner in (hamiltonian.EvolutionBackend, ExactEvolution, BlockEvolution):
+            spy(owner, "propagator")
+        for owner in (pipeline, qpe):
+            spy(owner, "phase_estimation")
+            spy(owner, "inverse_phase_estimation")
+        spy(np.linalg, "matrix_power")
+        result = run_hhl(generate(FamilySpec("tridiagonal", 32, seed=3)), HhlConfig(method=method))
+        assert calls == []
+        assert result.fidelity >= 0.999
+
+    @pytest.mark.parametrize("method", ["exact", "block"])
+    def test_non_orthonormal_eigenbasis_is_not_unitary(self, monkeypatch, method):
+        # the eigenbasis is the operator the solve uses, and is checked as one
+        def skewed_eigendecomposition(a):
+            spectrum = hermitian_eigendecomposition(a)
+            v = spectrum.eigenvectors.copy()
+            v[:, 0] += 1e-6 * v[:, 1]
+            return Spectrum(eigenvalues=spectrum.eigenvalues, eigenvectors=v)
+
+        monkeypatch.setattr(pipeline, "hermitian_eigendecomposition", skewed_eigendecomposition)
+        with pytest.raises(NonUnitary):
+            run_hhl(generate(FamilySpec("dense", 8, seed=0)), HhlConfig(method=method))
 
 
 class TestRunHhlDemo:
@@ -257,6 +358,26 @@ def test_rescaling_invariance_property(family, dim, seed, s, c, method):
     assert r2.resolved.n_c == r1.resolved.n_c
     assert abs(r2.fidelity - r1.fidelity) <= 1e-9
     assert abs(r2.success_probability - r1.success_probability) <= 1e-9
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(["diagonal", "dense"]),
+    dim=st.sampled_from([2, 4, 8, 16, 32]),
+    seed=st.integers(0, 10_000),
+)
+def test_on_grid_success_probability_property(family, dim, seed):
+    # On the clock grid the exact backend inverts every eigenvalue exactly:
+    # success = sum_j |beta_j|^2 C^2 / lambda_j^2 and the clock uncomputes.
+    problem = generate(FamilySpec(family, dim, seed))
+    result = run_hhl(problem, HhlConfig(method="exact"))
+    n_c, t = result.resolved.n_c, result.resolved.t
+    assert spectrum_is_representable(problem, n_c, t, hermitian_eigendecomposition(problem.matrix))
+    w, v = np.linalg.eigh(problem.matrix)
+    beta2 = np.abs(v.conj().T @ (problem.rhs / np.linalg.norm(problem.rhs))) ** 2
+    predicted = float(np.sum(beta2 * result.resolved.C**2 / w**2))
+    assert abs(result.success_probability - predicted) <= 1e-12
+    assert result.clock_residual <= 1e-12
 
 
 class TestOneSpectrumPerSolve:

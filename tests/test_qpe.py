@@ -1,4 +1,5 @@
-"""Phase estimation on the Krylov + FFT path, and the gate-level oracle's QFT.
+"""Phase estimation on the eigenbasis and Krylov + FFT paths, and the
+gate-level oracle's QFT.
 
 The QFT and clock-readout tests exercise the test-only gate engine in
 ``qpe_oracle``; ``tests/test_differential.py`` holds the two engines to each
@@ -9,11 +10,11 @@ import numpy as np
 import pytest
 
 import qpe_oracle
-from hhlsim.errors import DimensionMismatch
-from hhlsim.hamiltonian import ExactEvolution
+from hhlsim.errors import DimensionMismatch, NonUnitary
+from hhlsim.hamiltonian import BlockEvolution, ExactEvolution
 from hhlsim.linalg import ProblemInstance, hermitian_eigendecomposition
 from hhlsim.pipeline import HhlConfig, amplitude_encode, eigenvalue_inversion, run_hhl
-from hhlsim.qpe import inverse_phase_estimation, phase_estimation
+from hhlsim.qpe import inverse_phase_estimation, phase_estimation, spectral_phase_estimation
 from hhlsim.statevector import RegisterLayout, state_from_amplitudes
 from qpe_oracle import (
     ClockRegisterNotCleared,
@@ -145,6 +146,52 @@ class TestPhaseEstimation:
             phased = phase_estimation(np.array([0.0, 1.0]), u, 4)
             nearest = int(np.round(lam))
             assert clock_distribution(phased)[nearest] >= 4 / np.pi**2 - 1e-9
+
+
+class TestSpectralPhaseEstimation:
+    # P[k, j] is the probability that eigenvector j lands on clock bin k
+    def _random_case(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        spectrum = hermitian_eigendecomposition((a + a.conj().T) / 2 + 3 * np.eye(dim))
+        b_hat = amplitude_encode(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        return spectrum, b_hat, spectrum.eigenvectors.conj().T @ b_hat
+
+    @pytest.mark.parametrize("backend", [ExactEvolution, BlockEvolution])
+    def test_kernel_matches_the_krylov_pass(self, backend):
+        # bin k of the Krylov pass is V (alpha_k * beta), so its eigenbasis
+        # components have squared moduli P[k] * |beta|^2
+        spectrum, b_hat, beta = self._random_case(8, seed=3)
+        evolution = backend(spectrum)
+        t, n_c = 0.41, 4
+        kernel = spectral_phase_estimation(beta, spectrum.eigenvectors, evolution.eigenphases(t), n_c)
+        phased = phase_estimation(b_hat, evolution.propagator(t), n_c)
+        components = phased @ spectrum.eigenvectors.conj()
+        np.testing.assert_allclose(kernel * np.abs(beta) ** 2, np.abs(components) ** 2, atol=1e-13)
+        np.testing.assert_allclose(kernel.sum(axis=0), 1.0, atol=1e-13)
+
+    def test_on_grid_phase_is_one_bin(self):
+        # A = diag(1, 3), t = 2*pi/8: eigenvector j sits on bin lambda_j alone
+        spectrum = hermitian_eigendecomposition(np.diag([1.0, 3.0]))
+        phases = ExactEvolution(spectrum).eigenphases(2 * np.pi / 8)
+        kernel = spectral_phase_estimation(np.array([0.6, 0.8]), spectrum.eigenvectors, phases, 3)
+        expected = np.zeros((8, 2))
+        expected[1, 0] = expected[3, 1] = 1.0
+        np.testing.assert_allclose(kernel, expected, atol=1e-15)
+
+    def test_shapes_clock_and_unitarity_checked(self):
+        spectrum, _, beta = self._random_case(4, seed=5)
+        v, phases = spectrum.eigenvectors, spectrum.eigenvalues
+        with pytest.raises(DimensionMismatch):
+            spectral_phase_estimation(beta, v, phases, 0)
+        with pytest.raises(DimensionMismatch):
+            spectral_phase_estimation(beta[:3], v, phases, 2)
+        with pytest.raises(DimensionMismatch):
+            spectral_phase_estimation(beta, v, phases[:3], 2)
+        with pytest.raises(DimensionMismatch):
+            spectral_phase_estimation(beta, v[:, :3], phases, 2)
+        with pytest.raises(NonUnitary):
+            spectral_phase_estimation(beta, 1.001 * v, phases, 2)
 
 
 class TestInversePhaseEstimation:
